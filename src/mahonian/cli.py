@@ -3,12 +3,14 @@ Command-line interface.
 
 Subcommands: stats, map, pattern, rsk, table, verify.  Data goes to
 standard output, diagnostics to standard error.  Exit codes: 0 success (or
-all checks verified), 1 a check found a counterexample, 2 usage or parse
-error.  Every subcommand is a thin wrapper over the library.
+all checks verified), 1 a check found a counterexample (a map that raised
+on an instance counts as one), 2 usage or parse error.  Every subcommand is
+a thin wrapper over the library.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Sequence
@@ -19,28 +21,10 @@ from .errors import InternalInvariantError
 # Table column order: Adj, des, ides, F, IMAJ, MAJ, STAT.
 DEFAULT_SCHEMA = ("adj", "des", "ides", "F", "imaj", "maj", "stat")
 
-_SCHEMA_ALIASES = {
-    "Adj": "adj",
-    "IMAJ": "imaj",
-    "MAJ": "maj",
-    "STAT": "stat",
-    "Id": "Id-set",
-    "D": "D-set",
-    "Sh": "Sh-set",
-}
+# `stats` prints every statistic, the three index sets last.
+STATS_SCHEMA = DEFAULT_SCHEMA + ("D-set", "Id-set", "Sh-set")
 
-_HEADINGS = {
-    "F": "F",
-    "des": "des",
-    "ides": "ides",
-    "adj": "Adj",
-    "maj": "MAJ",
-    "imaj": "IMAJ",
-    "stat": "STAT",
-    "D-set": "D",
-    "Id-set": "Id",
-    "Sh-set": "Sh",
-}
+_SCHEMA_ALIASES = {heading: key for key, heading in verify.HEADINGS.items()}
 
 
 def _parse_schema(text: str | None) -> list[str]:
@@ -65,27 +49,24 @@ def _json_value(value: object) -> object:
     return value
 
 
+def _rows(ws, schema: Sequence[str]) -> tuple[list[str], list[tuple]]:
+    """Headings, and one (word, statistic values) row per word."""
+    extractors = [verify.statistic(token) for token in schema]
+    headings = [verify.HEADINGS[token] for token in schema]
+    return headings, [(w, [f(w) for f in extractors]) for w in ws]
+
+
+def _json_row(w, headings: Sequence[str], values: Sequence[object]) -> dict:
+    return {"word": words.format_word(w), **dict(zip(headings, map(_json_value, values)))}
+
+
 def cmd_stats(args: argparse.Namespace) -> int:
     w = words.parse_word(args.word)
-    sv = words.stat_vector(w)
-    record = {
-        "Adj": sv.adj,
-        "des": sv.des,
-        "ides": sv.ides,
-        "F": sv.first,
-        "IMAJ": sv.imaj,
-        "MAJ": sv.maj,
-        "STAT": sv.stat,
-    }
-    sets = {"D": sv.d_set, "Id": sv.id_set, "Sh": sv.sh_set}
+    headings, [(_, values)] = _rows([w], STATS_SCHEMA)
     if args.format == "json":
-        payload: dict[str, object] = {"word": words.format_word(w), **record}
-        payload.update({key: sorted(value) for key, value in sets.items()})
-        print(json.dumps(payload))
+        print(json.dumps(_json_row(w, headings, values)))
     else:
-        fields = [f"{key}={value}" for key, value in record.items()]
-        fields += [f"{key}={words.format_index_set(value)}" for key, value in sets.items()]
-        print(" ".join(fields))
+        print(" ".join(f"{h}={_cell(x)}" for h, x in zip(headings, values)))
     return 0
 
 
@@ -139,15 +120,9 @@ def cmd_table(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    extractors = [verify.statistic(token) for token in schema]
-    headings = [_HEADINGS[token] for token in schema]
-    rows = [(v, [f(v) for f in extractors]) for v in verify.rearrangement_class(letters)]
+    headings, rows = _rows(verify.rearrangement_class(letters), schema)
     if args.format == "json":
-        payload = [
-            {"word": words.format_word(v), **dict(zip(headings, map(_json_value, values)))}
-            for v, values in rows
-        ]
-        print(json.dumps(payload))
+        print(json.dumps([_json_row(v, headings, values) for v, values in rows]))
     else:
         print("\t".join(["word", *headings]))
         for v, values in rows:
@@ -168,23 +143,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         reports = [verify.check(args.check, bounds)]
     if args.format == "json":
-        payload = [
-            {
-                "name": r.name,
-                "domain": r.domain,
-                "instances": r.instances,
-                "passed": r.passed,
-                "counterexample": None
-                if r.counterexample is None
-                else {
-                    "input": r.counterexample.input,
-                    "expected": r.counterexample.expected,
-                    "actual": r.counterexample.actual,
-                },
-            }
-            for r in reports
-        ]
-        print(json.dumps(payload))
+        print(json.dumps([dataclasses.asdict(r) for r in reports]))
     else:
         for r in reports:
             for line in r.lines():
@@ -228,7 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_table.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p_table.add_argument("--cap", type=int, default=10_000_000)
-    p_table.add_argument("--jobs", type=int, default=1)
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="run a named exhaustive check, or all of them")

@@ -15,11 +15,12 @@ chunks run serially or on a process pool.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement, permutations as _permutations, product
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import involution, words
 from .errors import BoundTooLargeError, InternalInvariantError, UnknownNameError
@@ -149,6 +150,21 @@ STATISTICS: dict[str, Callable[[Sequence[int]], object]] = {
     "Sh-set": _sh_tuple,
 }
 
+# Column heading of each statistic in tables and reports; the CLI also
+# accepts a heading wherever it takes a statistic name.
+HEADINGS: dict[str, str] = {
+    "F": "F",
+    "des": "des",
+    "ides": "ides",
+    "adj": "Adj",
+    "maj": "MAJ",
+    "imaj": "IMAJ",
+    "stat": "STAT",
+    "D-set": "D",
+    "Id-set": "Id",
+    "Sh-set": "Sh",
+}
+
 
 def statistic(name: str) -> Callable[[Sequence[int]], object]:
     """Look up a statistic extractor by name; set values come back sorted."""
@@ -211,7 +227,8 @@ class CheckBounds:
     word length elsewhere; `alphabet` bounds the letters of word domains;
     `word` restricts class checks to a single rearrangement class; `cap`
     refuses domains with more elements than it; `jobs` > 1 runs the
-    partitioned domain on a process pool.
+    partitioned domain on a process pool of at most `jobs` workers, and no
+    more than there are CPUs or chunks.
     """
 
     n: int = 6
@@ -237,19 +254,6 @@ _CODE_SCHEMA = ("adj", "des", "Id-set", "maj", "stat")
 _CUBE_SCHEMA = ("adj", "des", "ides", "F", "maj", "stat")
 _CUBE_SWAPPED = ("adj", "des", "ides", "F", "stat", "maj")
 
-_DISPLAY = {
-    "F": "F",
-    "des": "des",
-    "ides": "ides",
-    "adj": "Adj",
-    "maj": "MAJ",
-    "imaj": "IMAJ",
-    "stat": "STAT",
-    "D-set": "D",
-    "Id-set": "Id",
-    "Sh-set": "Sh",
-}
-
 
 def _fmt_value(value: object) -> str:
     if isinstance(value, tuple):
@@ -258,24 +262,9 @@ def _fmt_value(value: object) -> str:
 
 
 def _fmt_profile(schema: Sequence[str], values: Sequence[object]) -> str:
-    names = ", ".join(_DISPLAY[s] for s in schema)
+    names = ", ".join(HEADINGS[s] for s in schema)
     rendered = ", ".join(_fmt_value(v) for v in values)
     return f"({names}) = ({rendered})"
-
-
-def _swap_failure(
-    w: Sequence[int],
-    image: Sequence[int],
-    left: tuple,
-    right: tuple,
-    left_schema: Sequence[str],
-    right_schema: Sequence[str],
-) -> Counterexample:
-    return Counterexample(
-        input=words.format_word(w),
-        expected=_fmt_profile(left_schema, left),
-        actual=f"image {words.format_word(image)}: {_fmt_profile(right_schema, right)}",
-    )
 
 
 def _pointwise_swap(w, mapper, left_schema, right_schema):
@@ -284,7 +273,11 @@ def _pointwise_swap(w, mapper, left_schema, right_schema):
     right = profile(image, right_schema)
     if left == right:
         return None
-    return _swap_failure(w, image, left, right, left_schema, right_schema)
+    return Counterexample(
+        input=words.format_word(w),
+        expected=_fmt_profile(left_schema, left),
+        actual=f"image {words.format_word(image)}: {_fmt_profile(right_schema, right)}",
+    )
 
 
 def _pred_adj_swap(p):
@@ -358,118 +351,164 @@ def _pred_maj_pair_sum(p):
     )
 
 
-_PERM_PREDICATES = {
-    "thm-1.1": _pred_adj_swap,
-    "thm-1.3": _pred_id_swap,
-    "lemma-3.1": _pred_switch_sets,
-    "lemma-3.4": _pred_maj_stat_sum,
-    "lemma-3.5": _pred_maj_pair_sum,
-}
-_WORD_PREDICATES = {"eq-2": _pred_code_preserves}
-_CLASS_PREDICATES = {"cor-1.4": _pred_class_swap, "cor-1.5": _pred_class_swap_sextuple}
+class _Cube(NamedTuple):
+    """The whole word cube [m]^n, judged as one instance by thm-1.2."""
 
-CHECK_IDS: tuple[str, ...] = (
-    "thm-1.1",
-    "thm-1.2",
-    "thm-1.3",
-    "cor-1.4",
-    "cor-1.5",
-    "lemma-3.1",
-    "lemma-3.4",
-    "lemma-3.5",
-    "eq-2",
-    "prop-2.4",
-)
+    m: int
+    n: int
 
-CHECK_SUMMARIES: dict[str, str] = {
-    "thm-1.1": "pointwise (Adj, des, F, MAJ, STAT) swap under burstein_p on S_n",
-    "thm-1.2": "sextuple (Adj, des, ides, F, MAJ, STAT) equidistribution on [m]^n",
-    "thm-1.3": "pointwise (des, Id, F, MAJ, STAT) swap under phi on S_n",
-    "cor-1.4": "pointwise quintuple swap under phi_on_class over rearrangement classes",
-    "cor-1.5": "pointwise (IMAJ, des, ides, F, MAJ, STAT) swap under phi_on_class",
-    "lemma-3.1": "foata_j preserves Id and reflects D on S_n",
-    "lemma-3.4": "MAJ + STAT = (n+1)*des - (F-1) on S_n",
-    "lemma-3.5": "MAJ + MAJ(phi image) = (n+1)*des - (F-1) on S_n",
-    "eq-2": "coding preserves (Adj, des, Id, MAJ, STAT) on [m]^n",
-    "prop-2.4": "both characterizations of compatible permutations coincide",
+    def __str__(self) -> str:
+        return f"[{self.m}]^{self.n}"
+
+
+def _pred_cube_swap(cube: _Cube):
+    left = joint_distribution(word_cube(*cube), _CUBE_SCHEMA)
+    right = joint_distribution(word_cube(*cube), _CUBE_SWAPPED)
+    if left == right:
+        return None
+    bad = min(t for t in set(left) | set(right) if left[t] != right[t])
+    return Counterexample(
+        input=str(cube),
+        expected=f"multiplicity of {bad} in the (.., MAJ, STAT) distribution = {left[bad]}",
+        actual=f"multiplicity in the (.., STAT, MAJ) distribution = {right[bad]}",
+    )
+
+
+def _pred_characterizations(wbar):
+    coded, by_id = _characterizations(wbar)
+    if coded != by_id:
+        stray = min(coded.symmetric_difference(by_id))
+        side = "coded image" if stray in coded else "inverse-descent side"
+        return Counterexample(
+            input=words.format_word(wbar),
+            expected="identical characterizations of the compatible permutations",
+            actual=f"{words.format_word(stray)} appears only in the {side}",
+        )
+    want = multinomial(wbar)
+    if len(coded) != want:
+        return Counterexample(
+            input=words.format_word(wbar),
+            expected=f"{want} compatible permutations (multinomial)",
+            actual=str(len(coded)),
+        )
+    return None
+
+
+# ------------------------------------------------------------------ chunks
+
+# A chunk function takes the picklable arguments of one lexicographically
+# contiguous piece of a domain and returns (chunk size, instances).
+
+
+def _perm_chunk(n: int, first: int):
+    rest = [v for v in range(1, n + 1) if v != first]
+    return math.factorial(n - 1), ((first, *tail) for tail in _permutations(rest))
+
+
+def _cube_chunk(m: int, n: int, first: int):
+    return m ** (n - 1), ((first, *tail) for tail in product(range(1, m + 1), repeat=n - 1))
+
+
+def _whole_cube(m: int, n: int):
+    return m**n, [_Cube(m, n)]
+
+
+def _class_chunk(letters: Word):
+    return multinomial(letters), rearrangement_class(letters)
+
+
+def _one_multiset(letters: Word):
+    return 1, [letters]
+
+
+class _Check(NamedTuple):
+    summary: str
+    chunk: Callable[..., tuple[int, Iterable]]
+    predicate: Callable[[object], Counterexample | None]
+
+
+_CHECKS: dict[str, _Check] = {
+    "thm-1.1": _Check(
+        "pointwise (Adj, des, F, MAJ, STAT) swap under burstein_p on S_n",
+        _perm_chunk,
+        _pred_adj_swap,
+    ),
+    "thm-1.2": _Check(
+        "sextuple (Adj, des, ides, F, MAJ, STAT) equidistribution on [m]^n",
+        _whole_cube,
+        _pred_cube_swap,
+    ),
+    "thm-1.3": _Check(
+        "pointwise (des, Id, F, MAJ, STAT) swap under phi on S_n",
+        _perm_chunk,
+        _pred_id_swap,
+    ),
+    "cor-1.4": _Check(
+        "pointwise quintuple swap under phi_on_class over rearrangement classes",
+        _class_chunk,
+        _pred_class_swap,
+    ),
+    "cor-1.5": _Check(
+        "pointwise (IMAJ, des, ides, F, MAJ, STAT) swap under phi_on_class",
+        _class_chunk,
+        _pred_class_swap_sextuple,
+    ),
+    "lemma-3.1": _Check(
+        "foata_j preserves Id and reflects D on S_n", _perm_chunk, _pred_switch_sets
+    ),
+    "lemma-3.4": _Check(
+        "MAJ + STAT = (n+1)*des - (F-1) on S_n", _perm_chunk, _pred_maj_stat_sum
+    ),
+    "lemma-3.5": _Check(
+        "MAJ + MAJ(phi image) = (n+1)*des - (F-1) on S_n", _perm_chunk, _pred_maj_pair_sum
+    ),
+    "eq-2": _Check(
+        "coding preserves (Adj, des, Id, MAJ, STAT) on [m]^n", _cube_chunk, _pred_code_preserves
+    ),
+    "prop-2.4": _Check(
+        "both characterizations of compatible permutations coincide",
+        _one_multiset,
+        _pred_characterizations,
+    ),
 }
+
+CHECK_IDS: tuple[str, ...] = tuple(_CHECKS)
+
+CHECK_SUMMARIES: dict[str, str] = {name: c.summary for name, c in _CHECKS.items()}
 
 
 # ------------------------------------------------------------ task running
 
-# Tasks are picklable tuples describing a lexicographically contiguous chunk
-# of a domain.  Each returns (chunk size, first failure in the chunk), so a
-# merge in task order yields the lexicographically least counterexample and
-# an instance count independent of scheduling.
+# A task is (check name, chunk arguments) and returns (chunk size, first
+# failure in the chunk), so a merge in task order yields the
+# lexicographically least counterexample and an instance count independent
+# of scheduling.
 
 
-def _run_task(task: tuple) -> tuple[int, Counterexample | None]:
-    kind = task[0]
-    if kind == "perms":
-        _, key, n, first = task
-        predicate = _PERM_PREDICATES[key]
-        rest = [v for v in range(1, n + 1) if v != first]
-        for tail in _permutations(rest):
-            failure = predicate((first, *tail))
-            if failure is not None:
-                return math.factorial(n - 1), failure
-        return math.factorial(n - 1), None
-    if kind == "cube":
-        _, key, m, n, first = task
-        predicate = _WORD_PREDICATES[key]
-        for tail in product(range(1, m + 1), repeat=n - 1):
-            failure = predicate((first, *tail))
-            if failure is not None:
-                return m ** (n - 1), failure
-        return m ** (n - 1), None
-    if kind == "class":
-        _, key, letters = task
-        predicate = _CLASS_PREDICATES[key]
-        for v in rearrangement_class(letters):
-            failure = predicate(v)
-            if failure is not None:
-                return multinomial(letters), failure
-        return multinomial(letters), None
-    if kind == "cube-dist":
-        _, m, n = task
-        left = joint_distribution(word_cube(m, n), _CUBE_SCHEMA)
-        right = joint_distribution(word_cube(m, n), _CUBE_SWAPPED)
-        if left == right:
-            return m**n, None
-        bad = min(t for t in set(left) | set(right) if left[t] != right[t])
-        return m**n, Counterexample(
-            input=f"[{m}]^{n}",
-            expected=f"multiplicity of {bad} in the (.., MAJ, STAT) distribution = {left[bad]}",
-            actual=f"multiplicity in the (.., STAT, MAJ) distribution = {right[bad]}",
-        )
-    if kind == "class-prop":
-        (_, letters) = task
-        wbar = words.sorted_word(letters)
-        coded, by_id = _characterizations(wbar)
-        if coded != by_id:
-            stray = min(coded.symmetric_difference(by_id))
-            side = "coded image" if stray in coded else "inverse-descent side"
-            return 1, Counterexample(
-                input=words.format_word(wbar),
-                expected="identical characterizations of the compatible permutations",
-                actual=f"{words.format_word(stray)} appears only in the {side}",
+def _run_task(task: tuple[str, tuple]) -> tuple[int, Counterexample | None]:
+    name, args = task
+    entry = _CHECKS[name]
+    size, instances = entry.chunk(*args)
+    for x in instances:
+        try:
+            failure = entry.predicate(x)
+        except Exception as exc:  # a map that raises on an instance fails there
+            failure = Counterexample(
+                input=str(x) if isinstance(x, _Cube) else words.format_word(x),
+                expected="no exception",
+                actual=f"raised {type(exc).__name__}: {exc}",
             )
-        want = multinomial(wbar)
-        if len(coded) != want:
-            return 1, Counterexample(
-                input=words.format_word(wbar),
-                expected=f"{want} compatible permutations (multinomial)",
-                actual=str(len(coded)),
-            )
-        return 1, None
-    raise InternalInvariantError(f"unknown task kind {kind!r}")
+        if failure is not None:
+            return size, failure
+    return size, None
 
 
 def _execute(tasks: list[tuple], jobs: int) -> tuple[int, Counterexample | None]:
-    if jobs <= 1 or len(tasks) <= 1:
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
         results = [_run_task(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_task, tasks))
     instances = sum(count for count, _ in results)
     failure = next((f for _, f in results if f is not None), None)
@@ -479,77 +518,51 @@ def _execute(tasks: list[tuple], jobs: int) -> tuple[int, Counterexample | None]
 # ----------------------------------------------------------- check builders
 
 
-def _class_list(bounds: CheckBounds) -> list[Word]:
-    if bounds.word is not None:
-        return [words.sorted_word(bounds.word)]
-    return list(multisets(bounds.alphabet, bounds.n))
-
-
-def _class_domain(bounds: CheckBounds) -> str:
-    if bounds.word is not None:
-        return f"R({words.format_word(words.sorted_word(bounds.word))})"
-    return f"classes with n<={bounds.n}, letters<={bounds.alphabet}"
+def _multiset_args(bounds: CheckBounds) -> Iterator[tuple[Word]]:
+    for letters in multisets(bounds.alphabet, bounds.n):
+        yield (letters,)
 
 
 def _build(name: str, bounds: CheckBounds, sizes: Sequence[int]):
-    """(domain description, tasks, projected instance count) for one check."""
-    if name in _PERM_PREDICATES:
-        tasks = [("perms", name, n, first) for n in sizes for first in range(1, n + 1)]
-        work = sum(math.factorial(n) for n in sizes)
+    """(domain description, projected instance count, chunk arguments) for
+    one check.  The count is in closed form and the arguments of a class
+    sweep are generated lazily, so nothing is enumerated before the caller
+    has compared the count with the cap."""
+    try:
+        chunk = _CHECKS[name].chunk
+    except KeyError:
+        raise UnknownNameError(f"unknown check {name!r}; known: {', '.join(CHECK_IDS)}") from None
+    if chunk is _perm_chunk:
         domain = f"S_{sizes[0]}" if len(sizes) == 1 else f"S_1..S_{sizes[-1]}"
-        return domain, tasks, work
-    if name in _WORD_PREDICATES:
-        tasks = [
-            ("cube", name, m, n, first)
-            for n in range(1, bounds.n + 1)
-            for m in range(1, bounds.alphabet + 1)
-            for first in range(1, m + 1)
-        ]
-        work = sum(
-            m**n for n in range(1, bounds.n + 1) for m in range(1, bounds.alphabet + 1)
-        )
-        return f"[m]^n, m<={bounds.alphabet}, n<={bounds.n}", tasks, work
-    if name == "thm-1.2":
-        pairs = [
-            (m, n)
-            for n in range(1, bounds.n + 1)
-            for m in range(1, bounds.alphabet + 1)
-        ]
-        tasks = [("cube-dist", m, n) for m, n in pairs]
-        work = sum(m**n for m, n in pairs)
-        return f"[m]^n, m<={bounds.alphabet}, n<={bounds.n}", tasks, work
-    if name in _CLASS_PREDICATES:
-        classes = _class_list(bounds)
-        tasks = [("class", name, cls) for cls in classes]
-        work = sum(multinomial(cls) for cls in classes)
-        return _class_domain(bounds), tasks, work
-    if name == "prop-2.4":
-        classes = _class_list(bounds)
-        tasks = [("class-prop", cls) for cls in classes]
-        work = sum(multinomial(cls) + math.factorial(len(cls)) for cls in classes)
-        return _class_domain(bounds), tasks, work
-    raise UnknownNameError(f"unknown check {name!r}; known: {', '.join(CHECK_IDS)}")
+        args = [(n, first) for n in sizes for first in range(1, n + 1)]
+        return domain, sum(math.factorial(n) for n in sizes), args
+    if chunk is _cube_chunk or chunk is _whole_cube:
+        grid = [(m, n) for n in range(1, bounds.n + 1) for m in range(1, bounds.alphabet + 1)]
+        if chunk is _cube_chunk:
+            args = [(m, n, first) for m, n in grid for first in range(1, m + 1)]
+        else:
+            args = grid
+        domain = f"[m]^n, m<={bounds.alphabet}, n<={bounds.n}"
+        return domain, sum(m**n for m, n in grid), args
+    # Class checks: each word of a class is one instance, and prop-2.4 also
+    # scans S_k once per class of size k.
+    with_perms = chunk is _one_multiset
+    if bounds.word is not None:
+        letters = words.sorted_word(bounds.word)
+        work = multinomial(letters) + (math.factorial(len(letters)) if with_perms else 0)
+        return f"R({words.format_word(letters)})", work, [(letters,)]
+    m = bounds.alphabet
+    work = sum(
+        m**k + (math.comb(m + k - 1, k) * math.factorial(k) if with_perms else 0)
+        for k in range(1, bounds.n + 1)
+    )
+    domain = f"classes with n<={bounds.n}, letters<={bounds.alphabet}"
+    return domain, work, _multiset_args(bounds)
 
 
 def _resolve(bounds: CheckBounds | None, overrides: dict) -> CheckBounds:
     resolved = bounds if bounds is not None else CheckBounds()
     return replace(resolved, **overrides) if overrides else resolved
-
-
-def _run_check(name: str, bounds: CheckBounds, sizes: Sequence[int]) -> CheckReport:
-    domain, tasks, work = _build(name, bounds, sizes)
-    if work > bounds.cap:
-        raise BoundTooLargeError(
-            f"{name} over {domain} needs {work} instances, more than the cap {bounds.cap}"
-        )
-    instances, failure = _execute(tasks, bounds.jobs)
-    return CheckReport(
-        name=name,
-        domain=domain,
-        instances=instances,
-        passed=failure is None,
-        counterexample=failure,
-    )
 
 
 def check(
@@ -567,7 +580,19 @@ def check(
     """
     resolved = _resolve(bounds, overrides)
     sizes = list(range(1, resolved.n + 1)) if sweep else [resolved.n]
-    return _run_check(name, resolved, sizes)
+    domain, work, args = _build(name, resolved, sizes)
+    if work > resolved.cap:
+        raise BoundTooLargeError(
+            f"{name} over {domain} needs {work} instances, more than the cap {resolved.cap}"
+        )
+    instances, failure = _execute([(name, a) for a in args], resolved.jobs)
+    return CheckReport(
+        name=name,
+        domain=domain,
+        instances=instances,
+        passed=failure is None,
+        counterexample=failure,
+    )
 
 
 def run_all(bounds: CheckBounds | None = None, **overrides) -> list[CheckReport]:

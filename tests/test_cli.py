@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from mahonian import cli, involution, words
+from mahonian.errors import InvalidTripleError
 
 TABLE_1122_TSV = (
     "word\tAdj\tdes\tides\tF\tIMAJ\tMAJ\tSTAT\n"
@@ -139,8 +140,9 @@ class TestTable:
 
     def test_byte_identical_across_runs(self, capsys):
         first = run_cli(capsys, "table", "1122")[1]
-        second = run_cli(capsys, "table", "1122", "--jobs", "4")[1]
+        second = run_cli(capsys, "table", "1122")[1]
         assert first == second == TABLE_1122_TSV
+        assert run_cli(capsys, "table", "1122", "--jobs", "4")[0] == 2
 
 
 class TestVerify:
@@ -172,6 +174,25 @@ class TestVerify:
         assert out.splitlines()[0] == "FAIL thm-1.3 (S_3): 6 instances"
         assert "213" in out
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_raising_map_is_a_counterexample(self, capsys, monkeypatch, jobs):
+        real_phi = involution.phi
+
+        def phi(p):
+            if tuple(p) == (2, 1, 3):
+                raise InvalidTripleError("planted")
+            return real_phi(p)
+
+        monkeypatch.setattr(involution, "phi", phi)
+        code, out, _ = run_cli(capsys, "verify", "thm-1.3", "--n", "3", "--jobs", jobs)
+        assert code == 1
+        assert out.splitlines() == [
+            "FAIL thm-1.3 (S_3): 6 instances",
+            "    input:    213",
+            "    expected: no exception",
+            "    actual:   raised InvalidTripleError: planted",
+        ]
+
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "lemma-3.4", "--n", "3", "--format", "json")
         payload = json.loads(out)
@@ -181,6 +202,12 @@ class TestVerify:
         serial = run_cli(capsys, "verify", "thm-1.3", "--n", "5", "--jobs", "1")
         parallel = run_cli(capsys, "verify", "thm-1.3", "--n", "5", "--jobs", "2")
         assert serial == parallel
+
+    def test_jobs_do_not_change_all(self, capsys):
+        argv = ("verify", "all", "--n", "5", "--alphabet", "3")
+        serial = run_cli(capsys, *argv, "--jobs", "1")
+        parallel = run_cli(capsys, *argv, "--jobs", "2")
+        assert serial == parallel and serial[0] == 0
 
 
 class TestThinWrapper:

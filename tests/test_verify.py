@@ -149,6 +149,44 @@ class TestCheck:
         with pytest.raises(BoundTooLargeError):
             verify.check("thm-1.3", n=11, cap=1000)
 
+    @pytest.mark.parametrize("name", ["cor-1.4", "cor-1.5", "prop-2.4"])
+    def test_cap_refused_before_enumerating(self, monkeypatch, name):
+        def refuse(*args):
+            raise AssertionError("multisets enumerated before the cap check")
+
+        monkeypatch.setattr(verify, "multisets", refuse)
+        with pytest.raises(BoundTooLargeError):
+            verify.check(name, n=8, alphabet=60, cap=1000)
+
+    def test_cap_counts_in_closed_form(self):
+        with pytest.raises(BoundTooLargeError, match="needs 46 instances"):
+            verify.check("prop-2.4", n=3, alphabet=2, cap=1)
+        with pytest.raises(BoundTooLargeError, match="needs 14 instances"):
+            verify.check("cor-1.4", n=3, alphabet=2, cap=1)
+
+    @pytest.mark.parametrize("cpus, workers", [(8, [4]), (None, [])])
+    def test_jobs_clamped(self, monkeypatch, cpus, workers):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+        report = verify.check("thm-1.3", n=4, jobs=10**6)
+        assert started == workers
+        assert report == verify.check("thm-1.3", n=4)
+
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             verify.CheckBounds(n=0)
