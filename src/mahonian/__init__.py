@@ -42,7 +42,6 @@ from .verify import (
     multinomial,
     rearrangement_class,
     run_all,
-    statistic,
     symmetric_group,
     word_cube,
 )
@@ -67,6 +66,7 @@ from .words import (
     shuffle_set,
     sorted_word,
     stat,
+    statistic,
     stat_vector,
     symmetries,
 )

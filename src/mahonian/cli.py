@@ -16,7 +16,6 @@ import sys
 from typing import Sequence
 
 from . import involution, patterns, tableaux, verify, words
-from .errors import InternalInvariantError
 
 # Table column order: Adj, des, ides, F, IMAJ, MAJ, STAT.
 DEFAULT_SCHEMA = ("adj", "des", "ides", "F", "imaj", "maj", "stat")
@@ -24,7 +23,7 @@ DEFAULT_SCHEMA = ("adj", "des", "ides", "F", "imaj", "maj", "stat")
 # `stats` prints every statistic, the three index sets last.
 STATS_SCHEMA = DEFAULT_SCHEMA + ("D-set", "Id-set", "Sh-set")
 
-_SCHEMA_ALIASES = {heading: key for key, heading in verify.HEADINGS.items()}
+_SCHEMA_ALIASES = {heading: key for key, heading in words.HEADINGS.items()}
 
 
 def _parse_schema(text: str | None) -> list[str]:
@@ -33,40 +32,29 @@ def _parse_schema(text: str | None) -> list[str]:
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     resolved = [_SCHEMA_ALIASES.get(tok, tok) for tok in tokens]
     for tok in resolved:
-        verify.statistic(tok)  # raises UnknownNameError on a bad token
+        words.statistic(tok)  # raises UnknownNameError on a bad token
     return resolved
-
-
-def _cell(value: object) -> str:
-    if isinstance(value, tuple):
-        return words.format_index_set(value)
-    return str(value)
-
-
-def _json_value(value: object) -> object:
-    if isinstance(value, tuple):
-        return list(value)
-    return value
 
 
 def _rows(ws, schema: Sequence[str]) -> tuple[list[str], list[tuple]]:
     """Headings, and one (word, statistic values) row per word."""
-    extractors = [verify.statistic(token) for token in schema]
-    headings = [verify.HEADINGS[token] for token in schema]
+    extractors = [words.statistic(token) for token in schema]
+    headings = [words.HEADINGS[token] for token in schema]
     return headings, [(w, [f(w) for f in extractors]) for w in ws]
 
 
 def _json_row(w, headings: Sequence[str], values: Sequence[object]) -> dict:
-    return {"word": words.format_word(w), **dict(zip(headings, map(_json_value, values)))}
+    return {"word": words.format_word(w), **dict(zip(headings, values))}
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     w = words.parse_word(args.word)
     headings, [(_, values)] = _rows([w], STATS_SCHEMA)
     if args.format == "json":
-        print(json.dumps(_json_row(w, headings, values)))
+        # default=sorted writes each index set as its ascending list.
+        print(json.dumps(_json_row(w, headings, values), default=sorted))
     else:
-        print(" ".join(f"{h}={_cell(x)}" for h, x in zip(headings, values)))
+        print(" ".join(f"{h}={words.format_statistic(x)}" for h, x in zip(headings, values)))
     return 0
 
 
@@ -113,20 +101,20 @@ def cmd_rsk(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     letters = words.parse_word(args.multiset)
     schema = _parse_schema(args.schema)
-    if verify.multinomial(letters) > args.cap:
+    size = verify.multinomial(letters)
+    if size > args.cap:
         print(
-            f"error: rearrangement class has {verify.multinomial(letters)} elements,"
-            f" more than the cap {args.cap}",
+            f"error: rearrangement class has {size} elements, more than the cap {args.cap}",
             file=sys.stderr,
         )
         return 2
     headings, rows = _rows(verify.rearrangement_class(letters), schema)
     if args.format == "json":
-        print(json.dumps([_json_row(v, headings, values) for v, values in rows]))
+        print(json.dumps([_json_row(v, headings, values) for v, values in rows], default=sorted))
     else:
         print("\t".join(["word", *headings]))
         for v, values in rows:
-            print("\t".join([words.format_word(v), *[_cell(x) for x in values]]))
+            print("\t".join([words.format_word(v), *map(words.format_statistic, values)]))
     return 0
 
 
@@ -210,8 +198,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except InternalInvariantError:
-        raise
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from . import involution, words
 from .errors import BoundTooLargeError, InternalInvariantError, UnknownNameError
 from .tableaux import foata_j
-from .words import Word
+# The statistic table lives in `words`; `verify.STATISTICS` is the same dict.
+from .words import HEADINGS, STATISTICS, Word, statistic
 
 # ------------------------------------------------------------------ domains
 
@@ -103,77 +104,6 @@ def compatible_set(letters: Iterable[int]) -> frozenset[Word]:
 
 
 # --------------------------------------------------------------- statistics
-
-
-def _des(w: Sequence[int]) -> int:
-    return len(words.descent_set(w))
-
-
-def _maj(w: Sequence[int]) -> int:
-    return sum(words.descent_set(w))
-
-
-def _ides(w: Sequence[int]) -> int:
-    return len(words.inverse_descent_set(w))
-
-
-def _imaj(w: Sequence[int]) -> int:
-    return sum(words.inverse_descent_set(w))
-
-
-def _first(w: Sequence[int]) -> int:
-    return w[0]
-
-
-def _d_tuple(w: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sorted(words.descent_set(w)))
-
-
-def _id_tuple(w: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sorted(words.inverse_descent_set(w)))
-
-
-def _sh_tuple(w: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sorted(words.shuffle_set(w)))
-
-
-STATISTICS: dict[str, Callable[[Sequence[int]], object]] = {
-    "F": _first,
-    "des": _des,
-    "ides": _ides,
-    "adj": words.adj,
-    "maj": _maj,
-    "imaj": _imaj,
-    "stat": words.stat,
-    "D-set": _d_tuple,
-    "Id-set": _id_tuple,
-    "Sh-set": _sh_tuple,
-}
-
-# Column heading of each statistic in tables and reports; the CLI also
-# accepts a heading wherever it takes a statistic name.
-HEADINGS: dict[str, str] = {
-    "F": "F",
-    "des": "des",
-    "ides": "ides",
-    "adj": "Adj",
-    "maj": "MAJ",
-    "imaj": "IMAJ",
-    "stat": "STAT",
-    "D-set": "D",
-    "Id-set": "Id",
-    "Sh-set": "Sh",
-}
-
-
-def statistic(name: str) -> Callable[[Sequence[int]], object]:
-    """Look up a statistic extractor by name; set values come back sorted."""
-    try:
-        return STATISTICS[name]
-    except KeyError:
-        raise UnknownNameError(
-            f"unknown statistic {name!r}; known: {', '.join(STATISTICS)}"
-        ) from None
 
 
 def profile(w: Sequence[int], schema: Sequence[str]) -> tuple:
@@ -255,19 +185,13 @@ _CUBE_SCHEMA = ("adj", "des", "ides", "F", "maj", "stat")
 _CUBE_SWAPPED = ("adj", "des", "ides", "F", "stat", "maj")
 
 
-def _fmt_value(value: object) -> str:
-    if isinstance(value, tuple):
-        return "{" + ",".join(str(x) for x in value) + "}"
-    return str(value)
-
-
 def _fmt_profile(schema: Sequence[str], values: Sequence[object]) -> str:
     names = ", ".join(HEADINGS[s] for s in schema)
-    rendered = ", ".join(_fmt_value(v) for v in values)
+    rendered = ", ".join(map(words.format_statistic, values))
     return f"({names}) = ({rendered})"
 
 
-def _pointwise_swap(w, mapper, left_schema, right_schema):
+def _pointwise_swap(w, mapper, left_schema, right_schema, role="image"):
     image = mapper(w)
     left = profile(w, left_schema)
     right = profile(image, right_schema)
@@ -276,7 +200,7 @@ def _pointwise_swap(w, mapper, left_schema, right_schema):
     return Counterexample(
         input=words.format_word(w),
         expected=_fmt_profile(left_schema, left),
-        actual=f"image {words.format_word(image)}: {_fmt_profile(right_schema, right)}",
+        actual=f"{role} {words.format_word(image)}: {_fmt_profile(right_schema, right)}",
     )
 
 
@@ -297,58 +221,46 @@ def _pred_class_swap_sextuple(v):
 
 
 def _pred_code_preserves(w):
-    cw = words.code(w)
-    left = profile(w, _CODE_SCHEMA)
-    right = profile(cw, _CODE_SCHEMA)
-    if left == right:
-        return None
-    return Counterexample(
-        input=words.format_word(w),
-        expected=_fmt_profile(_CODE_SCHEMA, left),
-        actual=f"coded {words.format_word(cw)}: {_fmt_profile(_CODE_SCHEMA, right)}",
-    )
+    return _pointwise_swap(w, words.code, _CODE_SCHEMA, _CODE_SCHEMA, "coded")
 
 
 def _pred_switch_sets(p):
     n = len(p)
     image = foata_j(p)
-    want_id = tuple(sorted(words.inverse_descent_set(p)))
-    want_d = tuple(sorted(n - k for k in words.descent_set(p)))
-    got_id = tuple(sorted(words.inverse_descent_set(image)))
-    got_d = tuple(sorted(words.descent_set(image)))
+    want_id = words.inverse_descent_set(p)
+    want_d = frozenset(n - k for k in words.descent_set(p))
+    got_id = words.inverse_descent_set(image)
+    got_d = words.descent_set(image)
     if (want_id, want_d) == (got_id, got_d):
+        return None
+    fmt = words.format_index_set
+    return Counterexample(
+        input=words.format_word(p),
+        expected=f"Id = {fmt(want_id)}, reflected D = {fmt(want_d)}",
+        actual=f"image {words.format_word(image)}: Id = {fmt(got_id)}, D = {fmt(got_d)}",
+    )
+
+
+def _maj_sum(p, term: str, value: int):
+    """The counterexample, if any, to MAJ(p) + `term` = (n+1)*des(p) - (F-1)."""
+    descents = words.descent_set(p)
+    lhs = sum(descents) + value
+    rhs = (len(p) + 1) * len(descents) - (p[0] - 1)
+    if lhs == rhs:
         return None
     return Counterexample(
         input=words.format_word(p),
-        expected=f"Id = {_fmt_value(want_id)}, reflected D = {_fmt_value(want_d)}",
-        actual=f"image {words.format_word(image)}: Id = {_fmt_value(got_id)}, D = {_fmt_value(got_d)}",
+        expected=f"MAJ + {term} = (n+1)*des - (F-1) = {rhs}",
+        actual=f"MAJ + {term} = {lhs}",
     )
 
 
 def _pred_maj_stat_sum(p):
-    n = len(p)
-    lhs = _maj(p) + words.stat(p)
-    rhs = (n + 1) * _des(p) - (p[0] - 1)
-    if lhs == rhs:
-        return None
-    return Counterexample(
-        input=words.format_word(p),
-        expected=f"MAJ + STAT = (n+1)*des - (F-1) = {rhs}",
-        actual=f"MAJ + STAT = {lhs}",
-    )
+    return _maj_sum(p, "STAT", words.stat(p))
 
 
 def _pred_maj_pair_sum(p):
-    n = len(p)
-    lhs = _maj(p) + _maj(involution.phi(p))
-    rhs = (n + 1) * _des(p) - (p[0] - 1)
-    if lhs == rhs:
-        return None
-    return Counterexample(
-        input=words.format_word(p),
-        expected=f"MAJ + MAJ(image) = (n+1)*des - (F-1) = {rhs}",
-        actual=f"MAJ + MAJ(image) = {lhs}",
-    )
+    return _maj_sum(p, "MAJ(image)", sum(words.descent_set(involution.phi(p))))
 
 
 class _Cube(NamedTuple):
@@ -363,7 +275,13 @@ class _Cube(NamedTuple):
 
 def _pred_cube_swap(cube: _Cube):
     left = joint_distribution(word_cube(*cube), _CUBE_SCHEMA)
-    right = joint_distribution(word_cube(*cube), _CUBE_SWAPPED)
+    # The swapped distribution re-indexes the columns of the same one.  Counts
+    # are summed, since a schema that repeats a column maps several tuples
+    # onto one key.
+    columns = [_CUBE_SCHEMA.index(name) for name in _CUBE_SWAPPED]
+    right = Counter()
+    for t, count in left.items():
+        right[tuple(t[i] for i in columns)] += count
     if left == right:
         return None
     bad = min(t for t in set(left) | set(right) if left[t] != right[t])

@@ -10,16 +10,23 @@ multiset.  All positions and set elements are 1-based.
 Seven statistics live here: the first letter F, the descent count and major
 index (des, MAJ), their inverse counterparts (ides, IMAJ) read off the
 coded permutation, the adjacency count Adj, and STAT, a Mahonian companion
-of MAJ defined as a vincular pattern sum.
+of MAJ defined as a vincular pattern sum.  `STATISTICS` is the one table of
+them by name, together with the descent, inverse descent and shuffle sets.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import patterns
-from .errors import EmptyInputError, NotCompatibleError, ParseError, SizeMismatchError
+from .errors import (
+    EmptyInputError,
+    NotCompatibleError,
+    ParseError,
+    SizeMismatchError,
+    UnknownNameError,
+)
 
 Word = tuple[int, ...]
 
@@ -196,6 +203,52 @@ def stat(w: Sequence[int]) -> int:
     return patterns.eval_sum("STAT_w", w)
 
 
+# Every statistic by name, in `StatVector` field order.  Index sets are the
+# frozensets the functions above return.
+STATISTICS: dict[str, Callable[[Sequence[int]], object]] = {
+    "F": lambda w: w[0],
+    "des": lambda w: len(descent_set(w)),
+    "ides": lambda w: len(inverse_descent_set(w)),
+    "adj": adj,
+    "maj": lambda w: sum(descent_set(w)),
+    "imaj": lambda w: sum(inverse_descent_set(w)),
+    "stat": stat,
+    "D-set": descent_set,
+    "Id-set": inverse_descent_set,
+    "Sh-set": shuffle_set,
+}
+
+# Column heading of each statistic in tables and reports; the CLI also
+# accepts a heading wherever it takes a statistic name.
+HEADINGS: dict[str, str] = {
+    "F": "F",
+    "des": "des",
+    "ides": "ides",
+    "adj": "Adj",
+    "maj": "MAJ",
+    "imaj": "IMAJ",
+    "stat": "STAT",
+    "D-set": "D",
+    "Id-set": "Id",
+    "Sh-set": "Sh",
+}
+
+
+def statistic(name: str) -> Callable[[Sequence[int]], object]:
+    """Look up a statistic extractor by name; index sets come back as frozensets."""
+    try:
+        return STATISTICS[name]
+    except KeyError:
+        raise UnknownNameError(
+            f"unknown statistic {name!r}; known: {', '.join(STATISTICS)}"
+        ) from None
+
+
+def format_statistic(value: object) -> str:
+    """A statistic value as text: an index set in braces, a number as is."""
+    return format_index_set(value) if isinstance(value, frozenset) else str(value)
+
+
 @dataclass(frozen=True)
 class StatVector:
     """All seven statistics of a word plus its three index sets."""
@@ -216,20 +269,7 @@ def stat_vector(w: Sequence[int]) -> StatVector:
     """Bundle every statistic of a nonempty word, computed from scratch."""
     if not w:
         raise EmptyInputError("statistics of an empty word are undefined")
-    d_set, n_des, total_maj = descent_data(w)
-    id_set, n_ides, total_imaj = inverse_descent_data(w)
-    return StatVector(
-        first=w[0],
-        des=n_des,
-        ides=n_ides,
-        adj=adj(w),
-        maj=total_maj,
-        imaj=total_imaj,
-        stat=stat(w),
-        d_set=d_set,
-        id_set=id_set,
-        sh_set=shuffle_set(w),
-    )
+    return StatVector(*(f(w) for f in STATISTICS.values()))
 
 
 # ------------------------------------------------------------- symmetries

@@ -3,11 +3,15 @@ import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from mahonian import cli, involution, words
 from mahonian.errors import InvalidTripleError
+
+DATA = Path(__file__).parent / "data"
+SET_SCHEMA = "Id-set,D-set,Sh-set,MAJ,STAT"
 
 TABLE_1122_TSV = (
     "word\tAdj\tdes\tides\tF\tIMAJ\tMAJ\tSTAT\n"
@@ -52,6 +56,15 @@ class TestStats:
     def test_parse_error(self, capsys):
         code, _, err = run_cli(capsys, "stats", "10x")
         assert code == 2 and "error" in err
+
+    def test_json_golden(self, capsys):
+        code, out, _ = run_cli(capsys, "stats", "434421651", "--format", "json")
+        assert code == 0
+        assert out == (
+            '{"word": "434421651", "Adj": 2, "des": 5, "ides": 4, "F": 4, "IMAJ": 17,'
+            ' "MAJ": 25, "STAT": 21, "D": [1, 4, 5, 7, 8], "Id": [2, 3, 4, 8],'
+            ' "Sh": [1, 2, 4, 6, 8]}\n'
+        )
 
 
 class TestMap:
@@ -133,6 +146,13 @@ class TestTable:
         payload = json.loads(out)
         assert code == 0 and [row["word"] for row in payload] == ["12", "21"]
         assert payload[1]["MAJ"] == 1
+
+    @pytest.mark.parametrize(
+        "fmt, golden", [("tsv", "table_112233_sets.tsv"), ("json", "table_112233_sets.json")]
+    )
+    def test_set_columns_golden(self, capsys, fmt, golden):
+        code, out, _ = run_cli(capsys, "table", "112233", "--schema", SET_SCHEMA, "--format", fmt)
+        assert code == 0 and out == (DATA / golden).read_text()
 
     def test_cap(self, capsys):
         code, _, err = run_cli(capsys, "table", "123456", "--cap", "100")

@@ -1,8 +1,10 @@
 """Core word machinery: parsing, coding/decoding, and the seven statistics."""
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
-from mahonian import words
+from mahonian import verify, words
 from mahonian.errors import (
     EmptyInputError,
     NotCompatibleError,
@@ -210,6 +212,23 @@ class TestStatVector:
         sv = words.stat_vector(w)
         interior = set(range(1, len(w)))
         assert sv.d_set <= interior and sv.sh_set <= interior and sv.id_set <= interior
+
+    @given(random_words)
+    def test_equals_registry_row(self, w):
+        row = tuple(f(w) for f in words.STATISTICS.values())
+        assert dataclasses.astuple(words.stat_vector(w)) == row
+
+
+class TestRegistry:
+    def test_verify_reads_the_same_table(self):
+        assert verify.STATISTICS is words.STATISTICS
+        assert verify.HEADINGS is words.HEADINGS
+
+    @pytest.mark.parametrize("name", ["D-set", "Id-set", "Sh-set"])
+    def test_set_statistics_are_frozensets(self, name):
+        w = (4, 3, 4, 4, 2, 1, 6, 5, 1)
+        assert isinstance(words.STATISTICS[name](w), frozenset)
+        assert isinstance(verify.statistic(name)(w), frozenset)
 
 
 class TestSymmetries:
