@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -81,6 +82,14 @@ def cmd_map(args: argparse.Namespace) -> int:
 def cmd_pattern(args: argparse.Namespace) -> int:
     pat = patterns.parse_pattern(args.pattern)
     w = words.parse_word(args.word)
+    size = math.comb(len(w), len(pat.letters))
+    if size > args.cap:
+        print(
+            f"error: a {len(pat.letters)}-letter pattern in {len(w)} letters has {size}"
+            f" index tuples, more than the cap {args.cap}",
+            file=sys.stderr,
+        )
+        return 2
     print(patterns.count_occurrences(pat, w))
     return 0
 
@@ -160,6 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pattern = sub.add_parser("pattern", help="count occurrences of a vincular pattern")
     p_pattern.add_argument("pattern", help='dash-separated blocks, e.g. "31-4-2"')
     p_pattern.add_argument("word")
+    p_pattern.add_argument("--cap", type=int, default=10_000_000)
     p_pattern.set_defaults(func=cmd_pattern)
 
     p_rsk = sub.add_parser("rsk", help="print the insertion and recording tableaux")

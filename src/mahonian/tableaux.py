@@ -98,6 +98,11 @@ def inverse_rsk(insert_tab: Tableau, record_tab: Tableau) -> Word:
     record_tab.validate()
     if insert_tab.shape != record_tab.shape:
         raise ShapeMismatchError(f"shapes differ: {insert_tab.shape} vs {record_tab.shape}")
+    return _unbump(insert_tab, record_tab)
+
+
+def _unbump(insert_tab: Tableau, record_tab: Tableau) -> Word:
+    """`inverse_rsk` on a pair already known to be standard and of one shape."""
     rows = [list(row) for row in insert_tab.rows]
     row_of = {entry: i for i, row in enumerate(record_tab.rows) for entry in row}
     out: list[int] = []
@@ -130,4 +135,5 @@ def foata_j(p: Sequence[int]) -> Word:
         raise InternalInvariantError(
             "insertion shape must match the reverse-complement recording shape"
         )
-    return inverse_rsk(insert_tab, record_rc)
+    # Both tableaux come straight from `rsk`, so they are standard.
+    return _unbump(insert_tab, record_rc)

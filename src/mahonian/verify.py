@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement, permutations as _permutations, product
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from . import involution, words
+from . import involution, patterns, words
 from .errors import BoundTooLargeError, InternalInvariantError, UnknownNameError
 from .tableaux import foata_j
 # The statistic table lives in `words`; `verify.STATISTICS` is the same dict.
@@ -191,10 +191,22 @@ def _fmt_profile(schema: Sequence[str], values: Sequence[object]) -> str:
     return f"({names}) = ({rendered})"
 
 
-def _pointwise_swap(w, mapper, left_schema, right_schema, role="image"):
+def _oracle_stat(w) -> int:
+    """STAT as the pattern sum, not the kernel `words.stat`: lemma-3.4 shows it
+    is the closed form on S_n and eq-2 that coding keeps it, des and MAJ, so
+    together they certify the kernel on words."""
+    return patterns.eval_sum("STAT_w", w)
+
+
+def _oracle_profile(w, schema: Sequence[str]) -> tuple:
+    """`profile`, with STAT from the pattern-sum oracle."""
+    return tuple(_oracle_stat(w) if name == "stat" else statistic(name)(w) for name in schema)
+
+
+def _pointwise_swap(w, mapper, left_schema, right_schema, role="image", measure=profile):
     image = mapper(w)
-    left = profile(w, left_schema)
-    right = profile(image, right_schema)
+    left = measure(w, left_schema)
+    right = measure(image, right_schema)
     if left == right:
         return None
     return Counterexample(
@@ -221,7 +233,9 @@ def _pred_class_swap_sextuple(v):
 
 
 def _pred_code_preserves(w):
-    return _pointwise_swap(w, words.code, _CODE_SCHEMA, _CODE_SCHEMA, "coded")
+    return _pointwise_swap(
+        w, words.code, _CODE_SCHEMA, _CODE_SCHEMA, "coded", measure=_oracle_profile
+    )
 
 
 def _pred_switch_sets(p):
@@ -256,7 +270,7 @@ def _maj_sum(p, term: str, value: int):
 
 
 def _pred_maj_stat_sum(p):
-    return _maj_sum(p, "STAT", words.stat(p))
+    return _maj_sum(p, "STAT", _oracle_stat(p))
 
 
 def _pred_maj_pair_sum(p):

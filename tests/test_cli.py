@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mahonian import cli, involution, words
+from mahonian import cli, involution, patterns, words
 from mahonian.errors import InvalidTripleError
 
 DATA = Path(__file__).parent / "data"
@@ -106,6 +106,35 @@ class TestPattern:
     def test_bad_pattern(self, capsys):
         code, _, err = run_cli(capsys, "pattern", "1-3", "123")
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize(
+        "argv, tuples, cap",
+        [
+            (["--cap", "100"], 4845, 100),
+            ([], 64684950, 10_000_000),
+        ],
+    )
+    def test_cap_refused_before_searching(self, capsys, monkeypatch, argv, tuples, cap):
+        def refuse(*_):
+            raise AssertionError("searched past the cap")
+
+        monkeypatch.setattr(patterns, "count_occurrences", refuse)
+        length = 20 if argv else 200
+        word = ",".join(str(1 + i % 12) for i in range(length))
+        code, out, err = run_cli(capsys, "pattern", "31-4-2", word, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: a 4-letter pattern in {length} letters has {tuples}"
+            f" index tuples, more than the cap {cap}\n"
+        )
+
+    def test_largest_long_word_stays_under_the_default_cap(self, capsys):
+        word = ",".join(str(1 + i % 12) for i in range(48))
+        code, out, _ = run_cli(capsys, "pattern", "31-4-2", word)
+        assert code == 0
+        assert int(out) == patterns.count_occurrences(
+            patterns.parse_pattern("31-4-2"), words.parse_word(word)
+        )
 
 
 class TestRsk:

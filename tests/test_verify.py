@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from mahonian import involution, verify, words
+from mahonian import cli, involution, patterns, verify, words
 from mahonian.errors import BoundTooLargeError, UnknownNameError
 
 random_multisets = st.lists(st.integers(1, 4), min_size=0, max_size=6).map(
@@ -218,6 +218,27 @@ class TestCheck:
         )
         report = verify.check("thm-1.2", n=3, alphabet=2)
         assert not report.passed and report.counterexample is not None
+
+    def test_checks_of_the_kernel_read_the_oracle(self, monkeypatch, capsys):
+        kernel = words.stat
+
+        def wrong(w):  # off by the first letter, so it also changes under coding
+            return kernel(w) + w[0]
+
+        monkeypatch.setattr(words, "stat", wrong)
+        monkeypatch.setitem(words.STATISTICS, "stat", wrong)
+        assert verify.check("lemma-3.4", n=4).passed
+        assert verify.check("eq-2", n=3, alphabet=3).passed
+        assert cli.main(["verify", "thm-1.3", "--n", "3"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL thm-1.3") and "input:    123\n" in out
+
+    def test_wrong_pattern_sum_fails_lemma_3_4(self, monkeypatch):
+        oracle = patterns.eval_sum
+        monkeypatch.setattr(patterns, "eval_sum", lambda name, w: oracle(name, w) + 1)
+        report = verify.check("lemma-3.4", n=3)
+        assert not report.passed and report.counterexample.input == "123"
+        assert verify.check("thm-1.3", n=3).passed
 
     def test_pass_report_renders_one_line(self):
         report = verify.check("lemma-3.1", n=3)

@@ -2,9 +2,9 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from mahonian import verify, words
+from mahonian import patterns, verify, words
 from mahonian.errors import (
     EmptyInputError,
     NotCompatibleError,
@@ -184,6 +184,28 @@ class TestStat:
 
     def test_empty_word_allowed(self):
         assert words.stat(()) == 0
+
+
+class TestStatKernel:
+    """The closed-form kernel against the six-term vincular pattern sum."""
+
+    def test_matches_pattern_sum_exhaustively(self):
+        for n in range(1, 7):
+            for w in verify.word_cube(4, n):
+                assert words.stat(w) == patterns.eval_sum("STAT_w", w), w
+
+    # Lengths are drawn first so that long words are as common as short ones.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 12), st.integers(1, 100)).flatmap(
+            lambda mn: st.lists(st.integers(1, mn[0]), min_size=mn[1], max_size=mn[1])
+        ).map(tuple)
+    )
+    def test_matches_pattern_sum_on_long_words(self, w):
+        assert words.stat(w) == patterns.eval_sum("STAT_w", w)
+
+    def test_empty_word_agrees(self):
+        assert words.stat(()) == patterns.eval_sum("STAT_w", ()) == 0
 
 
 class TestStatVector:
