@@ -17,6 +17,7 @@ import sys
 from typing import Sequence
 
 from . import involution, patterns, tableaux, verify, words
+from .errors import BoundTooLargeError
 
 # Table column order: Adj, des, ides, F, IMAJ, MAJ, STAT.
 DEFAULT_SCHEMA = ("adj", "des", "ides", "F", "imaj", "maj", "stat")
@@ -68,8 +69,7 @@ def cmd_map(args: argparse.Namespace) -> int:
         print(words.format_word(involution.phi_on_class(w)))
         return 0
     if not words.is_permutation(w):
-        print(f"error: map {args.name!r} needs a permutation of 1..n", file=sys.stderr)
-        return 2
+        raise ValueError(f"map {args.name!r} needs a permutation of 1..n")
     mapper = {
         "p": involution.burstein_p,
         "j": tableaux.foata_j,
@@ -84,12 +84,10 @@ def cmd_pattern(args: argparse.Namespace) -> int:
     w = words.parse_word(args.word)
     size = math.comb(len(w), len(pat.letters))
     if size > args.cap:
-        print(
-            f"error: a {len(pat.letters)}-letter pattern in {len(w)} letters has {size}"
-            f" index tuples, more than the cap {args.cap}",
-            file=sys.stderr,
+        raise BoundTooLargeError(
+            f"a {len(pat.letters)}-letter pattern in {len(w)} letters has {size}"
+            f" index tuples, more than the cap {args.cap}"
         )
-        return 2
     print(patterns.count_occurrences(pat, w))
     return 0
 
@@ -97,8 +95,7 @@ def cmd_pattern(args: argparse.Namespace) -> int:
 def cmd_rsk(args: argparse.Namespace) -> int:
     w = words.parse_word(args.word)
     if not words.is_permutation(w):
-        print("error: rsk needs a permutation of 1..n", file=sys.stderr)
-        return 2
+        raise ValueError("rsk needs a permutation of 1..n")
     insert_tab, record_tab = tableaux.rsk(w)
     print("P:")
     print(insert_tab)
@@ -112,11 +109,9 @@ def cmd_table(args: argparse.Namespace) -> int:
     schema = _parse_schema(args.schema)
     size = verify.multinomial(letters)
     if size > args.cap:
-        print(
-            f"error: rearrangement class has {size} elements, more than the cap {args.cap}",
-            file=sys.stderr,
+        raise BoundTooLargeError(
+            f"rearrangement class has {size} elements, more than the cap {args.cap}"
         )
-        return 2
     headings, rows = _rows(verify.rearrangement_class(letters), schema)
     if args.format == "json":
         print(json.dumps([_json_row(v, headings, values) for v, values in rows], default=sorted))

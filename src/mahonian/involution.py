@@ -9,17 +9,17 @@ blocks that alternate high/low starting high, and the blocks are filled
 from the first letter followed by the top subword, respectively the bottom
 subword.
 
-`phi` acts on a triple by applying the tableau-switching involution to the
-standardized top and to the bottom, and reflecting the shuffle set.  It
-fixes des, the inverse descent set and the first letter while swapping MAJ
-and STAT.  `burstein_p` replaces tableau switching with reverse-complement
-and fixes Adj instead of the inverse descent set.  Both transfer to a
-rearrangement class of words by coding, acting, and decoding.
+`phi` and `burstein_p` are one map on triples: apply a subword involution
+to the standardized top and to the bottom, and reflect the shuffle set.
+`phi` applies tableau switching; it fixes des, the inverse descent set and
+the first letter while swapping MAJ and STAT.  `burstein_p` applies
+reverse-complement and fixes Adj instead of the inverse descent set.  Both
+transfer to a rearrangement class of words by coding, acting, and decoding.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import EmptyInputError, InvalidTripleError
 from .tableaux import foata_j
@@ -110,11 +110,21 @@ def transform_shuffle(shuffle: Iterable[int], n: int) -> frozenset[int]:
     return image | {1} if len(cuts) % 2 == 1 else image
 
 
-def _switch_subword(subword: Word) -> Word:
-    """Tableau-switch a subword with distinct letters via standardization."""
-    if not subword:
-        return ()
-    return decode(foata_j(code(subword)), subword)
+def _triple_map(p: Sequence[int], g: Callable[[Word], Word]) -> Word:
+    """Apply the involution `g` to both subwords and reflect the shuffle set.
+
+    The top's letters are exactly threshold+1..n, so shifting the top down
+    by the threshold standardizes it for `g`, and shifting back restores it.
+    """
+    triple = decompose(p)
+    t = triple.threshold
+    return recompose(
+        ShuffleTriple(
+            top=tuple(x + t for x in g(tuple(x - t for x in triple.top))),
+            bottom=g(triple.bottom),
+            shuffle=transform_shuffle(triple.shuffle, triple.size),
+        )
+    )
 
 
 def phi(p: Sequence[int]) -> Word:
@@ -123,14 +133,7 @@ def phi(p: Sequence[int]) -> Word:
     >>> phi((5, 4, 6, 7, 3, 1, 9, 8, 2))
     (5, 1, 9, 6, 4, 3, 7, 8, 2)
     """
-    triple = decompose(p)
-    return recompose(
-        ShuffleTriple(
-            top=_switch_subword(triple.top),
-            bottom=foata_j(triple.bottom),
-            shuffle=transform_shuffle(triple.shuffle, triple.size),
-        )
-    )
+    return _triple_map(p, foata_j)
 
 
 def burstein_p(p: Sequence[int]) -> Word:
@@ -139,17 +142,7 @@ def burstein_p(p: Sequence[int]) -> Word:
     Same shuffle-set reflection as `phi`, with reverse-complement acting on
     the subwords instead of tableau switching.
     """
-    triple = decompose(p)
-    top = (
-        decode(reverse_complement(code(triple.top)), triple.top) if triple.top else ()
-    )
-    return recompose(
-        ShuffleTriple(
-            top=top,
-            bottom=reverse_complement(triple.bottom),
-            shuffle=transform_shuffle(triple.shuffle, triple.size),
-        )
-    )
+    return _triple_map(p, reverse_complement)
 
 
 def phi_on_class(v: Sequence[int]) -> Word:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError, NotStandardError, ShapeMismatchError
-from .words import Word, check_permutation, reverse_complement
+from .words import Word, check_permutation
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,11 @@ def rsk(p: Sequence[int]) -> tuple[Tableau, Tableau]:
     (((1, 2), (3,), (4,)), ((1, 4), (2,), (3,)))
     """
     check_permutation(p)
+    return _rsk(p)
+
+
+def _rsk(p: Sequence[int]) -> tuple[Tableau, Tableau]:
+    """`rsk` on a sequence already known to be a permutation."""
     insert_rows: list[list[int]] = []
     record_rows: list[list[int]] = []
     for step, value in enumerate(p, start=1):
@@ -127,13 +132,12 @@ def foata_j(p: Sequence[int]) -> Word:
     (4, 1, 2, 3)
     """
     check_permutation(p)
-    if not p:
-        return ()
-    insert_tab, _ = rsk(p)
-    _, record_rc = rsk(reverse_complement(p))
+    n = len(p)
+    insert_tab, _ = _rsk(p)
+    _, record_rc = _rsk([n + 1 - x for x in reversed(p)])
     if insert_tab.shape != record_rc.shape:
         raise InternalInvariantError(
             "insertion shape must match the reverse-complement recording shape"
         )
-    # Both tableaux come straight from `rsk`, so they are standard.
+    # Both tableaux come straight from `_rsk`, so they are standard.
     return _unbump(insert_tab, record_rc)

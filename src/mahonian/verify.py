@@ -174,15 +174,20 @@ class CheckBounds:
 
 # --------------------------------------------------------------- predicates
 
-_SWAP_LEFT = ("des", "Id-set", "F", "maj", "stat")
-_SWAP_RIGHT = ("des", "Id-set", "F", "stat", "maj")
-_ADJ_LEFT = ("adj", "des", "F", "maj", "stat")
-_ADJ_RIGHT = ("adj", "des", "F", "stat", "maj")
-_SEXT_LEFT = ("imaj", "des", "ides", "F", "maj", "stat")
-_SEXT_RIGHT = ("imaj", "des", "ides", "F", "stat", "maj")
+_SWAP_SCHEMA = ("des", "Id-set", "F", "maj", "stat")
+_ADJ_SCHEMA = ("adj", "des", "F", "maj", "stat")
+_SEXT_SCHEMA = ("imaj", "des", "ides", "F", "maj", "stat")
 _CODE_SCHEMA = ("adj", "des", "Id-set", "maj", "stat")
 _CUBE_SCHEMA = ("adj", "des", "ides", "F", "maj", "stat")
-_CUBE_SWAPPED = ("adj", "des", "ides", "F", "stat", "maj")
+
+
+def _swapped(schema: Sequence[str]) -> tuple[str, ...]:
+    """The schema with MAJ and STAT exchanged: what the image of a swap must show."""
+    exchange = {"maj": "stat", "stat": "maj"}
+    return tuple(exchange.get(name, name) for name in schema)
+
+
+_CUBE_SWAPPED = _swapped(_CUBE_SCHEMA)
 
 
 def _fmt_profile(schema: Sequence[str], values: Sequence[object]) -> str:
@@ -216,20 +221,11 @@ def _pointwise_swap(w, mapper, left_schema, right_schema, role="image", measure=
     )
 
 
-def _pred_adj_swap(p):
-    return _pointwise_swap(p, involution.burstein_p, _ADJ_LEFT, _ADJ_RIGHT)
-
-
-def _pred_id_swap(p):
-    return _pointwise_swap(p, involution.phi, _SWAP_LEFT, _SWAP_RIGHT)
-
-
-def _pred_class_swap(v):
-    return _pointwise_swap(v, involution.phi_on_class, _SWAP_LEFT, _SWAP_RIGHT)
-
-
-def _pred_class_swap_sextuple(v):
-    return _pointwise_swap(v, involution.phi_on_class, _SEXT_LEFT, _SEXT_RIGHT)
+def _swap_predicate(map_name: str, schema: Sequence[str]):
+    """Pointwise MAJ/STAT swap under `involution.<map_name>`, looked up at each
+    call so that a patched map is the one checked."""
+    image_schema = _swapped(schema)
+    return lambda w: _pointwise_swap(w, getattr(involution, map_name), schema, image_schema)
 
 
 def _pred_code_preserves(w):
@@ -363,7 +359,7 @@ _CHECKS: dict[str, _Check] = {
     "thm-1.1": _Check(
         "pointwise (Adj, des, F, MAJ, STAT) swap under burstein_p on S_n",
         _perm_chunk,
-        _pred_adj_swap,
+        _swap_predicate("burstein_p", _ADJ_SCHEMA),
     ),
     "thm-1.2": _Check(
         "sextuple (Adj, des, ides, F, MAJ, STAT) equidistribution on [m]^n",
@@ -373,17 +369,17 @@ _CHECKS: dict[str, _Check] = {
     "thm-1.3": _Check(
         "pointwise (des, Id, F, MAJ, STAT) swap under phi on S_n",
         _perm_chunk,
-        _pred_id_swap,
+        _swap_predicate("phi", _SWAP_SCHEMA),
     ),
     "cor-1.4": _Check(
         "pointwise quintuple swap under phi_on_class over rearrangement classes",
         _class_chunk,
-        _pred_class_swap,
+        _swap_predicate("phi_on_class", _SWAP_SCHEMA),
     ),
     "cor-1.5": _Check(
         "pointwise (IMAJ, des, ides, F, MAJ, STAT) swap under phi_on_class",
         _class_chunk,
-        _pred_class_swap_sextuple,
+        _swap_predicate("phi_on_class", _SEXT_SCHEMA),
     ),
     "lemma-3.1": _Check(
         "foata_j preserves Id and reflects D on S_n", _perm_chunk, _pred_switch_sets

@@ -95,9 +95,9 @@ def code(w: Sequence[int]) -> Word:
     """
     if not w:
         raise EmptyInputError("cannot code an empty word")
-    order = sorted(range(len(w)), key=lambda i: (w[i], i))
     ranks = [0] * len(w)
-    for rank, i in enumerate(order, start=1):
+    # The sort is stable, so equal letters keep their left-to-right order.
+    for rank, i in enumerate(sorted(range(len(w)), key=w.__getitem__), start=1):
         ranks[i] = rank
     return tuple(ranks)
 
@@ -157,9 +157,9 @@ def inverse_descent_set(w: Sequence[int]) -> frozenset[int]:
     """Values v of the coded word such that v+1 appears before v."""
     if not w:
         raise EmptyInputError("inverse descents of an empty word are undefined")
-    cw = code(w)
-    position = {value: i for i, value in enumerate(cw)}
-    return frozenset(v for v in range(1, len(cw)) if position[v + 1] < position[v])
+    # order[v - 1] is the position of the letter that codes to v.
+    order = sorted(range(len(w)), key=w.__getitem__)
+    return frozenset(v for v in range(1, len(w)) if order[v] < order[v - 1])
 
 
 def inverse_descent_data(w: Sequence[int]) -> tuple[frozenset[int], int, int]:

@@ -289,6 +289,26 @@ class TestThinWrapper:
             assert out.strip() == words.format_word(words.code(w))
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["map", "p", "1122"], "error: map 'p' needs a permutation of 1..n\n"),
+        (["map", "rc", "22"], "error: map 'rc' needs a permutation of 1..n\n"),
+        (["rsk", "1122"], "error: rsk needs a permutation of 1..n\n"),
+        (
+            ["pattern", "21", "123", "--cap", "2"],
+            "error: a 2-letter pattern in 3 letters has 3 index tuples, more than the cap 2\n",
+        ),
+        (
+            ["table", "1122", "--cap", "5"],
+            "error: rearrangement class has 6 elements, more than the cap 5\n",
+        ),
+    ],
+)
+def test_refusals_print_one_error_line_and_exit_2(capsys, argv, err):
+    assert run_cli(capsys, *argv) == (2, "", err)
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "mahonian", "map", "code", "212231"],

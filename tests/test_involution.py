@@ -15,6 +15,7 @@ from mahonian.involution import (
     recompose,
     transform_shuffle,
 )
+from mahonian.tableaux import foata_j
 from mahonian.verify import multisets, rearrangement_class, symmetric_group
 
 random_perms = (
@@ -189,6 +190,22 @@ class TestBursteinP:
     def test_empty(self):
         with pytest.raises(EmptyInputError):
             burstein_p(())
+
+
+def reference_triple_map(p, g):
+    """Act by `g` on the triple through the public coding maps."""
+    t = decompose(p)
+    top = words.decode(g(words.code(t.top)), t.top) if t.top else ()
+    return recompose(ShuffleTriple(top, g(t.bottom), transform_shuffle(t.shuffle, t.size)))
+
+
+@pytest.mark.parametrize(
+    "mapper, g", [(phi, foata_j), (burstein_p, words.reverse_complement)]
+)
+def test_maps_equal_the_reference_triple_composition(mapper, g):
+    for n in range(1, 7):
+        for p in symmetric_group(n):
+            assert mapper(p) == reference_triple_map(p, g), p
 
 
 class TestPhiOnClass:

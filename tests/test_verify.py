@@ -219,6 +219,55 @@ class TestCheck:
         report = verify.check("thm-1.2", n=3, alphabet=2)
         assert not report.passed and report.counterexample is not None
 
+    @pytest.mark.parametrize(
+        "map_name, name, lines",
+        [
+            (
+                "burstein_p",
+                "thm-1.1",
+                [
+                    "FAIL thm-1.1 (S_3): 6 instances",
+                    "    input:    213",
+                    "    expected: (Adj, des, F, MAJ, STAT) = (1, 1, 2, 1, 2)",
+                    "    actual:   image 213: (Adj, des, F, STAT, MAJ) = (1, 1, 2, 2, 1)",
+                ],
+            ),
+            (
+                "phi",
+                "thm-1.3",
+                [
+                    "FAIL thm-1.3 (S_3): 6 instances",
+                    "    input:    213",
+                    "    expected: (des, Id, F, MAJ, STAT) = (1, {1}, 2, 1, 2)",
+                    "    actual:   image 213: (des, Id, F, STAT, MAJ) = (1, {1}, 2, 2, 1)",
+                ],
+            ),
+            (
+                "phi_on_class",
+                "cor-1.4",
+                [
+                    "FAIL cor-1.4 (classes with n<=3, letters<=2): 14 instances",
+                    "    input:    212",
+                    "    expected: (des, Id, F, MAJ, STAT) = (1, {1}, 2, 1, 2)",
+                    "    actual:   image 212: (des, Id, F, STAT, MAJ) = (1, {1}, 2, 2, 1)",
+                ],
+            ),
+            (
+                "phi_on_class",
+                "cor-1.5",
+                [
+                    "FAIL cor-1.5 (classes with n<=3, letters<=2): 14 instances",
+                    "    input:    212",
+                    "    expected: (IMAJ, des, ides, F, MAJ, STAT) = (1, 1, 1, 2, 1, 2)",
+                    "    actual:   image 212: (IMAJ, des, ides, F, STAT, MAJ) = (1, 1, 1, 2, 2, 1)",
+                ],
+            ),
+        ],
+    )
+    def test_planted_identity_fails_each_swap_check(self, monkeypatch, map_name, name, lines):
+        monkeypatch.setattr(involution, map_name, lambda w: tuple(w))
+        assert verify.check(name, n=3, alphabet=2).lines() == lines
+
     def test_checks_of_the_kernel_read_the_oracle(self, monkeypatch, capsys):
         kernel = words.stat
 

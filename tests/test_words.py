@@ -144,6 +144,13 @@ class TestInverseDescentData:
         with pytest.raises(EmptyInputError):
             words.inverse_descent_data(())
 
+    def test_matches_definition_on_the_coded_word(self):
+        for n in range(1, 7):
+            for w in verify.word_cube(4, n):
+                cw = words.code(w)
+                want = frozenset(v for v in range(1, n) if cw.index(v + 1) < cw.index(v))
+                assert words.inverse_descent_set(w) == want, w
+
 
 class TestShuffleSet:
     def test_worked_example(self):
