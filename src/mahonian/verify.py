@@ -14,12 +14,14 @@ chunks run serially or on a process pool.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import combinations_with_replacement, permutations as _permutations, product
+from itertools import combinations_with_replacement, groupby, product
+from itertools import permutations as _permutations
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import involution, patterns, words
@@ -302,7 +304,32 @@ def _pred_cube_swap(cube: _Cube):
     )
 
 
-def _pred_characterizations(wbar):
+class _Class(NamedTuple):
+    """One multiset of prop-2.4, with the counts of S_k by inverse descent set
+    that every class of its size k shares, grouped on first use."""
+
+    letters: Word
+    id_counts: Callable[[], Counter]
+
+    def __str__(self) -> str:
+        return words.format_word(self.letters)
+
+
+def _pred_characterizations(c: _Class):
+    """Both characterizations agree, shown from counts: every coded word lies
+    inside the boundaries, the coded words are multinomial many, and so are
+    the permutations of S_k whose Id set lies inside them.  Only a class that
+    disagrees builds both sets, to name the stray permutation."""
+    wbar = c.letters
+    bounds = words.block_boundaries(wbar)
+    coded = {words.code(v) for v in rearrangement_class(wbar)}
+    want = multinomial(wbar)
+    if (
+        len(coded) == want
+        and all(words.inverse_descent_set(p) <= bounds for p in coded)
+        and sum(count for ids, count in c.id_counts().items() if ids <= bounds) == want
+    ):
+        return None
     coded, by_id = _characterizations(wbar)
     if coded != by_id:
         stray = min(coded.symmetric_difference(by_id))
@@ -312,7 +339,6 @@ def _pred_characterizations(wbar):
             expected="identical characterizations of the compatible permutations",
             actual=f"{words.format_word(stray)} appears only in the {side}",
         )
-    want = multinomial(wbar)
     if len(coded) != want:
         return Counterexample(
             input=words.format_word(wbar),
@@ -345,8 +371,12 @@ def _class_chunk(letters: Word):
     return multinomial(letters), rearrangement_class(letters)
 
 
-def _one_multiset(letters: Word):
-    return 1, [letters]
+def _classes_of_one_size(*classes: Word):
+    k = len(classes[0])
+    id_counts = functools.cache(
+        lambda: Counter(words.inverse_descent_set(p) for p in symmetric_group(k))
+    )
+    return len(classes), (_Class(letters, id_counts) for letters in classes)
 
 
 class _Check(NamedTuple):
@@ -395,7 +425,7 @@ _CHECKS: dict[str, _Check] = {
     ),
     "prop-2.4": _Check(
         "both characterizations of compatible permutations coincide",
-        _one_multiset,
+        _classes_of_one_size,
         _pred_characterizations,
     ),
 }
@@ -422,7 +452,7 @@ def _run_task(task: tuple[str, tuple]) -> tuple[int, Counterexample | None]:
             failure = entry.predicate(x)
         except Exception as exc:  # a map that raises on an instance fails there
             failure = Counterexample(
-                input=str(x) if isinstance(x, _Cube) else words.format_word(x),
+                input=str(x) if isinstance(x, (_Cube, _Class)) else words.format_word(x),
                 expected="no exception",
                 actual=f"raised {type(exc).__name__}: {exc}",
             )
@@ -446,46 +476,53 @@ def _execute(tasks: list[tuple], jobs: int) -> tuple[int, Counterexample | None]
 # ----------------------------------------------------------- check builders
 
 
-def _multiset_args(bounds: CheckBounds) -> Iterator[tuple[Word]]:
-    for letters in multisets(bounds.alphabet, bounds.n):
-        yield (letters,)
+def _multiset_args(bounds: CheckBounds, by_size: bool) -> Iterator[tuple[Word, ...]]:
+    """Every multiset of one size per task with `by_size`, else one multiset
+    per task (the multisets are distinct, so each group holds one)."""
+    for _, group in groupby(multisets(bounds.alphabet, bounds.n), key=len if by_size else None):
+        yield tuple(group)
 
 
-def _build(name: str, bounds: CheckBounds, sizes: Sequence[int]):
-    """(domain description, projected instance count, chunk arguments) for
-    one check.  The count is in closed form and the arguments of a class
-    sweep are generated lazily, so nothing is enumerated before the caller
-    has compared the count with the cap."""
+def _build(name: str, bounds: CheckBounds, sweep: bool):
+    """(domain description, chunk arguments) of one check.  The instance
+    count is compared with the cap in closed form, and the arguments of a
+    class sweep are generated lazily, so an oversized check raises
+    BoundTooLargeError before anything is enumerated."""
     try:
         chunk = _CHECKS[name].chunk
     except KeyError:
         raise UnknownNameError(f"unknown check {name!r}; known: {', '.join(CHECK_IDS)}") from None
+    by_size = chunk is _classes_of_one_size
     if chunk is _perm_chunk:
+        sizes = list(range(1, bounds.n + 1)) if sweep else [bounds.n]
         domain = f"S_{sizes[0]}" if len(sizes) == 1 else f"S_1..S_{sizes[-1]}"
+        work = sum(math.factorial(n) for n in sizes)
         args = [(n, first) for n in sizes for first in range(1, n + 1)]
-        return domain, sum(math.factorial(n) for n in sizes), args
-    if chunk is _cube_chunk or chunk is _whole_cube:
+    elif chunk is _cube_chunk or chunk is _whole_cube:
         grid = [(m, n) for n in range(1, bounds.n + 1) for m in range(1, bounds.alphabet + 1)]
         if chunk is _cube_chunk:
             args = [(m, n, first) for m, n in grid for first in range(1, m + 1)]
         else:
             args = grid
         domain = f"[m]^n, m<={bounds.alphabet}, n<={bounds.n}"
-        return domain, sum(m**n for m, n in grid), args
-    # Class checks: each word of a class is one instance, and prop-2.4 also
-    # scans S_k once per class of size k.
-    with_perms = chunk is _one_multiset
-    if bounds.word is not None:
+        work = sum(m**n for m, n in grid)
+    # Class checks: each word of a class is one instance.  prop-2.4 codes the
+    # words of every class and groups S_k once per size k, one task per size.
+    elif bounds.word is not None:
         letters = words.sorted_word(bounds.word)
-        work = multinomial(letters) + (math.factorial(len(letters)) if with_perms else 0)
-        return f"R({words.format_word(letters)})", work, [(letters,)]
-    m = bounds.alphabet
-    work = sum(
-        m**k + (math.comb(m + k - 1, k) * math.factorial(k) if with_perms else 0)
-        for k in range(1, bounds.n + 1)
-    )
-    domain = f"classes with n<={bounds.n}, letters<={bounds.alphabet}"
-    return domain, work, _multiset_args(bounds)
+        domain = f"R({words.format_word(letters)})"
+        work = multinomial(letters) + (math.factorial(len(letters)) if by_size else 0)
+        args = [(letters,)]
+    else:
+        m = bounds.alphabet
+        domain = f"classes with n<={bounds.n}, letters<={bounds.alphabet}"
+        work = sum(m**k + (math.factorial(k) if by_size else 0) for k in range(1, bounds.n + 1))
+        args = _multiset_args(bounds, by_size)
+    if work > bounds.cap:
+        raise BoundTooLargeError(
+            f"{name} over {domain} needs {work} instances, more than the cap {bounds.cap}"
+        )
+    return domain, args
 
 
 def _resolve(bounds: CheckBounds | None, overrides: dict) -> CheckBounds:
@@ -507,12 +544,7 @@ def check(
     overrides patch the bounds, e.g. ``check("thm-1.3", n=7)``.
     """
     resolved = _resolve(bounds, overrides)
-    sizes = list(range(1, resolved.n + 1)) if sweep else [resolved.n]
-    domain, work, args = _build(name, resolved, sizes)
-    if work > resolved.cap:
-        raise BoundTooLargeError(
-            f"{name} over {domain} needs {work} instances, more than the cap {resolved.cap}"
-        )
+    domain, args = _build(name, resolved, sweep)
     instances, failure = _execute([(name, a) for a in args], resolved.jobs)
     return CheckReport(
         name=name,
@@ -524,6 +556,9 @@ def check(
 
 
 def run_all(bounds: CheckBounds | None = None, **overrides) -> list[CheckReport]:
-    """Run every check; symmetric-group checks sweep sizes 1..n."""
+    """Run every check; symmetric-group checks sweep sizes 1..n.  Every check
+    is held to the cap before any of them runs."""
     resolved = _resolve(bounds, overrides)
+    for name in CHECK_IDS:
+        _build(name, resolved, sweep=True)
     return [check(name, resolved, sweep=True) for name in CHECK_IDS]

@@ -128,6 +128,15 @@ class TestPattern:
             f" index tuples, more than the cap {cap}\n"
         )
 
+    def test_letter_pairs_refused_before_searching(self, capsys, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("searched past the cap")
+
+        monkeypatch.setattr(patterns, "count_occurrences", refuse)
+        code, out, err = run_cli(capsys, "pattern", "1", "1" * 11, "--cap", "100")
+        assert (code, out) == (2, "")
+        assert err == "error: a word of 11 letters has 121 letter pairs, more than the cap 100\n"
+
     def test_largest_long_word_stays_under_the_default_cap(self, capsys):
         word = ",".join(str(1 + i % 12) for i in range(48))
         code, out, _ = run_cli(capsys, "pattern", "31-4-2", word)

@@ -16,6 +16,54 @@ ALL_NAMED_PATTERNS = sorted(
 )
 
 
+def reference_count(pattern, word):
+    """Reference oracle: a naive backtracker that extends a partial
+    occurrence one pattern letter at a time, testing every candidate
+    position against all the letters already picked."""
+    letters, glued = pattern.letters, pattern.glued
+    r, n = len(letters), len(word)
+    if r > n:
+        return 0
+    picked = []
+
+    def fits(pos):
+        a = letters[len(picked)]
+        return all(
+            (word[q] < word[pos]) == (letters[d] < a)
+            and (word[q] == word[pos]) == (letters[d] == a)
+            for d, q in enumerate(picked)
+        )
+
+    def extend():
+        depth = len(picked)
+        if depth == r:
+            return 1
+        if depth and glued[depth - 1]:
+            candidates = range(picked[-1] + 1, min(picked[-1] + 2, n))
+        else:
+            candidates = range(picked[-1] + 1 if picked else 0, n)
+        total = 0
+        for pos in candidates:
+            if fits(pos):
+                picked.append(pos)
+                total += extend()
+                picked.pop()
+        return total
+
+    return extend()
+
+
+@st.composite
+def vincular_patterns(draw):
+    """1-4 letters covering 1..k, repeats allowed, with random glue flags."""
+    r = draw(st.integers(1, 4))
+    raw = draw(st.lists(st.integers(1, r), min_size=r, max_size=r))
+    values = sorted(set(raw))
+    letters = tuple(values.index(x) + 1 for x in raw)
+    glued = tuple(draw(st.lists(st.booleans(), min_size=r - 1, max_size=r - 1)))
+    return patterns.VincularPattern(letters, glued)
+
+
 def brute_count(pattern, word):
     """Independent oracle: scan every index combination."""
     r = len(pattern.letters)
@@ -82,6 +130,23 @@ class TestCount:
     def test_matches_brute_force(self, w, text):
         pat = patterns.parse_pattern(text)
         assert patterns.count_occurrences(pat, w) == brute_count(pat, w)
+
+    @given(vincular_patterns(), st.lists(st.integers(1, 5), max_size=9).map(tuple))
+    def test_random_pattern_matches_both_references(self, pat, w):
+        count = patterns.count_occurrences(pat, w)
+        assert count == reference_count(pat, w) == brute_count(pat, w)
+
+    def test_named_sums_match_reference_on_small_words(self):
+        specs = patterns._SUM_SPECS
+        terms = {text: patterns.parse_pattern(text) for ts in specs.values() for text in ts}
+        for n in range(7):
+            for w in word_cube(4, n) if n else [()]:
+                want = {text: reference_count(pat, w) for text, pat in terms.items()}
+                for text, pat in terms.items():
+                    assert patterns.count_occurrences(pat, w) == want[text], (text, w)
+                for name in patterns.NAMED_SUMS:
+                    got = patterns.eval_sum(name, w)
+                    assert got == sum(want[text] for text in specs[name]), (name, w)
 
 
 class TestSums:

@@ -159,7 +159,7 @@ class TestCheck:
             verify.check(name, n=8, alphabet=60, cap=1000)
 
     def test_cap_counts_in_closed_form(self):
-        with pytest.raises(BoundTooLargeError, match="needs 46 instances"):
+        with pytest.raises(BoundTooLargeError, match="needs 23 instances"):
             verify.check("prop-2.4", n=3, alphabet=2, cap=1)
         with pytest.raises(BoundTooLargeError, match="needs 14 instances"):
             verify.check("cor-1.4", n=3, alphabet=2, cap=1)
@@ -268,6 +268,67 @@ class TestCheck:
         monkeypatch.setattr(involution, map_name, lambda w: tuple(w))
         assert verify.check(name, n=3, alphabet=2).lines() == lines
 
+    @pytest.mark.parametrize(
+        "target, name, fault, lines",
+        [
+            (
+                words,
+                "code",
+                lambda real: lambda w: (2, 1, 3) if tuple(w) == (2, 1, 1) else real(w),
+                [
+                    "    input:    112",
+                    "    expected: identical characterizations of the compatible permutations",
+                    "    actual:   213 appears only in the coded image",
+                ],
+            ),
+            (
+                words,
+                "inverse_descent_set",
+                lambda real: lambda w: frozenset() if tuple(w) == (2, 1, 3) else real(w),
+                [
+                    "    input:    111",
+                    "    expected: identical characterizations of the compatible permutations",
+                    "    actual:   213 appears only in the inverse-descent side",
+                ],
+            ),
+            (
+                verify,
+                "multinomial",
+                lambda real: lambda letters: real(letters) + 1,
+                [
+                    "    input:    1",
+                    "    expected: 2 compatible permutations (multinomial)",
+                    "    actual:   1",
+                ],
+            ),
+        ],
+    )
+    def test_planted_fault_fails_prop_2_4(self, monkeypatch, target, name, fault, lines):
+        monkeypatch.setattr(target, name, fault(getattr(target, name)))
+        assert verify.check("prop-2.4", n=3, alphabet=2).lines() == [
+            "FAIL prop-2.4 (classes with n<=3, letters<=2): 9 instances",
+            *lines,
+        ]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_raise_while_grouping_names_least_multiset(self, monkeypatch, capsys, jobs):
+        real = words.inverse_descent_set
+
+        def planted(w):  # 21 is in S_2 but not in the coded image of 11, the least size-2 class
+            if tuple(w) == (2, 1):
+                raise ValueError("planted")
+            return real(w)
+
+        monkeypatch.setattr(words, "inverse_descent_set", planted)
+        argv = ["verify", "prop-2.4", "--n", "3", "--alphabet", "2", "--jobs", jobs]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "FAIL prop-2.4 (classes with n<=3, letters<=2): 9 instances",
+            "    input:    11",
+            "    expected: no exception",
+            "    actual:   raised ValueError: planted",
+        ]
+
     def test_checks_of_the_kernel_read_the_oracle(self, monkeypatch, capsys):
         kernel = words.stat
 
@@ -302,6 +363,36 @@ class TestRunAll:
         by_name = {r.name: r for r in reports}
         assert by_name["thm-1.3"].instances == 1 + 2 + 6 + 24
         assert by_name["thm-1.3"].domain == "S_1..S_4"
+
+    def test_over_the_cap_refused_before_any_check_runs(self, monkeypatch, capsys):
+        def refuse(*_):
+            raise AssertionError("a check ran before every check was held to the cap")
+
+        monkeypatch.setattr(verify, "_execute", refuse)
+        argv = ["verify", "all", "--n", "5", "--alphabet", "2", "--cap", "200"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: prop-2.4 over classes with n<=5, letters<=2 needs 215 instances,"
+            " more than the cap 200\n"
+        )
+
+    def test_n9_alphabet4_within_the_default_cap(self, monkeypatch, capsys):
+        ran = []
+
+        def stub(tasks, jobs):
+            ran.append(tasks[0][0])
+            return 0, None
+
+        monkeypatch.setattr(verify, "_execute", stub)
+        assert cli.main(["verify", "all", "--n", "9", "--alphabet", "4"]) == 0
+        assert ran == list(verify.CHECK_IDS)
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "PASS prop-2.4 (classes with n<=9, letters<=4): 0 instances"
+        )
+        with pytest.raises(BoundTooLargeError, match="needs 758637 instances"):
+            verify.check("prop-2.4", n=9, alphabet=4, cap=758_636)
 
     def test_summaries_cover_all_checks(self):
         assert set(verify.CHECK_SUMMARIES) == set(verify.CHECK_IDS)
