@@ -82,17 +82,11 @@ def cmd_map(args: argparse.Namespace) -> int:
 def cmd_pattern(args: argparse.Namespace) -> int:
     pat = patterns.parse_pattern(args.pattern)
     w = words.parse_word(args.word)
-    n, r = len(w), len(pat.letters)
-    size = math.comb(n, r)
+    size = math.comb(len(w), len(pat.letters))
     if size > args.cap:
         raise BoundTooLargeError(
-            f"a {r}-letter pattern in {n} letters has {size}"
+            f"a {len(pat.letters)}-letter pattern in {len(w)} letters has {size}"
             f" index tuples, more than the cap {args.cap}"
-        )
-    # The counter compares letters through a table of every pair of them.
-    if n * n > args.cap:
-        raise BoundTooLargeError(
-            f"a word of {n} letters has {n * n} letter pairs, more than the cap {args.cap}"
         )
     print(patterns.count_occurrences(pat, w))
     return 0

@@ -11,12 +11,11 @@ letters are adjacent.
 Patterns may repeat letters ("21-2"): equal pattern letters must be matched
 by equal host letters, distinct ones by host letters in the same strict
 order.  Each pattern is compiled on first use into, per block, the
-comparisons its letters must reproduce against earlier letters.  Counting
-places one block at a time against the host word's table of signs
-sign(w_a - w_b), which a pattern sum builds once and shares among its
-terms.  The counter stays generic in the pattern, since it is the oracle
-that the verifier holds the closed-form STAT kernel to; the tests compare it
-with a naive backtracker and with a scan of every index tuple.
+comparisons its letters must reproduce against earlier letters, and
+counting places one block at a time.  The counter stays generic in the
+pattern, since it is the oracle that the verifier holds the closed-form
+STAT kernel to; the tests compare it with a naive backtracker and with a
+scan of every index tuple.
 """
 from __future__ import annotations
 
@@ -61,21 +60,17 @@ class VincularPattern:
 
     @cached_property
     def _compiled(self) -> tuple[tuple[int, tuple], ...]:
-        """One (need, checks) pair per block, built on first use.  `need`
-        counts the letters from the block's first letter to the end of the
-        pattern, which bounds where the block can start.  `checks` holds, for each
-        letter index i of the block, the pairs (d, sign(letters[i] -
-        letters[d])) over the earlier indices d that the host letter placed
-        at i must reproduce."""
+        """Per block: how many letters run from its start to the pattern's end,
+        and for each of its letter indices i the pairs (d, sign(letters[i] -
+        letters[d])) over d < i."""
         letters = self.letters
         out, first = [], 0
         for block in self.blocks:
-            checks = []
-            for i in range(first, first + len(block)):
-                a = letters[i]
-                pairs = tuple((d, (a > b) - (a < b)) for d, b in enumerate(letters[:i]))
-                checks.append((i, pairs))
-            out.append((len(letters) - first, tuple(checks)))
+            checks = tuple(
+                (i, tuple((d, (a > b) - (a < b)) for d, b in enumerate(letters[:i])))
+                for i, a in enumerate(letters[first : first + len(block)], first)
+            )
+            out.append((len(letters) - first, checks))
             first += len(block)
         return tuple(out)
 
@@ -113,19 +108,9 @@ def count_occurrences(pattern: VincularPattern, word: Sequence[int]) -> int:
     >>> count_occurrences(parse_pattern("31-4-2"), (4, 1, 2, 5, 3))
     1
     """
-    return _count(pattern._compiled, len(word), _sign_table(word))
-
-
-def _sign_table(word: Sequence[int]) -> list[list[int]]:
-    """table[q][a] = sign(word[q] - word[a])."""
-    return [[(x > y) - (x < y) for y in word] for x in word]
-
-
-def _count(blocks: tuple[tuple[int, tuple], ...], n: int, table: list[list[int]]) -> int:
-    """Occurrences of a compiled pattern in a word of length `n` whose sign
-    table is `table`, placing one block at a time from left to right."""
-    last = len(blocks) - 1
-    at = [0] * blocks[0][0]  # host position of each pattern letter placed so far
+    blocks = pattern._compiled
+    n, last = len(word), len(blocks) - 1
+    got = [0] * blocks[0][0]  # host letter matched to each pattern letter so far
 
     def place(b: int, lo: int) -> int:
         need, checks = blocks[b]
@@ -133,12 +118,13 @@ def _count(blocks: tuple[tuple[int, tuple], ...], n: int, table: list[list[int]]
         for start in range(lo, n - need + 1):
             q = start
             for i, pairs in checks:
-                row = table[q]
+                x = word[q]
                 for d, sign in pairs:
-                    if row[at[d]] != sign:
+                    y = got[d]
+                    if (x > y) - (x < y) != sign:
                         break
                 else:  # the host letter at q fits pattern letter i
-                    at[i] = q
+                    got[i] = x
                     q += 1
                     continue
                 break
@@ -194,5 +180,4 @@ def eval_sum(patterns: PatternSum | str, word: Sequence[int]) -> int:
     """
     if isinstance(patterns, str):
         patterns = named_sum(patterns)
-    n, table = len(word), _sign_table(word)
-    return sum(_count(term._compiled, n, table) for term in patterns.terms)
+    return sum(count_occurrences(term, word) for term in patterns.terms)

@@ -128,14 +128,11 @@ class TestPattern:
             f" index tuples, more than the cap {cap}\n"
         )
 
-    def test_letter_pairs_refused_before_searching(self, capsys, monkeypatch):
-        def refuse(*_):
-            raise AssertionError("searched past the cap")
-
-        monkeypatch.setattr(patterns, "count_occurrences", refuse)
-        code, out, err = run_cli(capsys, "pattern", "1", "1" * 11, "--cap", "100")
-        assert (code, out) == (2, "")
-        assert err == "error: a word of 11 letters has 121 letter pairs, more than the cap 100\n"
+    def test_short_pattern_on_a_long_word(self, capsys):
+        word = ",".join(str(1 + i % 12) for i in range(20_000))
+        assert run_cli(capsys, "pattern", "1", word)[:2] == (0, "20000\n")
+        word = ",".join(str(1 + i % 12) for i in range(4_000))
+        assert run_cli(capsys, "pattern", "21", word)[:2] == (0, "333\n")
 
     def test_largest_long_word_stays_under_the_default_cap(self, capsys):
         word = ",".join(str(1 + i % 12) for i in range(48))

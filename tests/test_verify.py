@@ -292,6 +292,26 @@ class TestCheck:
                 ],
             ),
             (
+                words,
+                "code",
+                lambda real: lambda w: tuple(x - 1 for x in real(w)),
+                [
+                    "    input:    1",
+                    "    expected: identical characterizations of the compatible permutations",
+                    "    actual:   0 appears only in the coded image",
+                ],
+            ),
+            (
+                words,
+                "code",
+                lambda real: tuple,
+                [
+                    "    input:    2",
+                    "    expected: identical characterizations of the compatible permutations",
+                    "    actual:   1 appears only in the inverse-descent side",
+                ],
+            ),
+            (
                 verify,
                 "multinomial",
                 lambda real: lambda letters: real(letters) + 1,
