@@ -126,7 +126,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     bounds = verify.CheckBounds(
         n=args.n,
         alphabet=args.alphabet,
-        word=words.parse_word(args.word) if args.word else None,
+        word=words.parse_word(args.word) if args.word is not None else None,
         cap=args.cap,
         jobs=args.jobs,
     )

@@ -9,8 +9,9 @@ comparing distributions and localizes any failure.
 
 Each check scans its domain in lexicographic order and reports the instance
 count plus the first counterexample, if any.  Domains are partitioned into
-lexicographically contiguous chunks, so the report is identical whether the
-chunks run serially or on a process pool.
+lexicographically contiguous chunks.  A run sends the chunks of all its
+checks, in check order, to one executor, serial or a single process pool,
+so every report is identical either way.
 """
 from __future__ import annotations
 
@@ -158,9 +159,9 @@ class CheckBounds:
     `n` is the permutation size for symmetric-group checks and the maximum
     word length elsewhere; `alphabet` bounds the letters of word domains;
     `word` restricts class checks to a single rearrangement class; `cap`
-    refuses domains with more elements than it; `jobs` > 1 runs the
-    partitioned domain on a process pool of at most `jobs` workers, and no
-    more than there are CPUs or chunks.
+    refuses domains with more elements than it; `jobs` > 1 runs every chunk
+    of the run on one process pool of at most `jobs` workers, and no more
+    than there are CPUs or chunks in the whole run.
     """
 
     n: int = 6
@@ -437,6 +438,10 @@ CHECK_IDS: tuple[str, ...] = tuple(_CHECKS)
 
 CHECK_SUMMARIES: dict[str, str] = {name: c.summary for name, c in _CHECKS.items()}
 
+_CLASS_CHECKS = tuple(
+    name for name, c in _CHECKS.items() if c.chunk in (_class_chunk, _classes_of_one_size)
+)
+
 
 # ------------------------------------------------------------ task running
 
@@ -455,7 +460,7 @@ def _run_task(task: tuple[str, tuple]) -> tuple[int, Counterexample | None]:
             failure = entry.predicate(x)
         except Exception as exc:  # a map that raises on an instance fails there
             failure = Counterexample(
-                input=str(x) if isinstance(x, (_Cube, _Class)) else words.format_word(x),
+                input=words.format_word(x) if type(x) is tuple else str(x),
                 expected="no exception",
                 actual=f"raised {type(exc).__name__}: {exc}",
             )
@@ -464,16 +469,12 @@ def _run_task(task: tuple[str, tuple]) -> tuple[int, Counterexample | None]:
     return size, None
 
 
-def _execute(tasks: list[tuple], jobs: int) -> tuple[int, Counterexample | None]:
+def _execute(tasks: list[tuple], jobs: int) -> list[tuple[int, Counterexample | None]]:
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers <= 1:
-        results = [_run_task(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_task, tasks))
-    instances = sum(count for count, _ in results)
-    failure = next((f for _, f in results if f is not None), None)
-    return instances, failure
+        return [_run_task(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_run_task, tasks))
 
 
 # ----------------------------------------------------------- check builders
@@ -536,6 +537,21 @@ def _resolve(bounds: CheckBounds | None, overrides: dict) -> CheckBounds:
     return replace(resolved, **overrides) if overrides else resolved
 
 
+def _run(names: Sequence[str], bounds: CheckBounds, sweep: bool) -> list[CheckReport]:
+    """Build every named check, holding each to the cap before any runs, then
+    run all their chunks, in check order, through one `_execute`."""
+    built = [(name, *_build(name, bounds, sweep)) for name in names]
+    tasks = [[(name, a) for a in args] for name, _, args in built]
+    results = iter(_execute([task for own in tasks for task in own], bounds.jobs))
+    reports = []
+    for (name, domain, _), own in zip(built, tasks):
+        mine = [next(results) for _ in own]
+        failure = next((f for _, f in mine if f is not None), None)
+        instances = sum(count for count, _ in mine)
+        reports.append(CheckReport(name, domain, instances, failure is None, failure))
+    return reports
+
+
 def check(
     name: str,
     bounds: CheckBounds | None = None,
@@ -550,21 +566,12 @@ def check(
     overrides patch the bounds, e.g. ``check("thm-1.3", n=7)``.
     """
     resolved = _resolve(bounds, overrides)
-    domain, args = _build(name, resolved, sweep)
-    instances, failure = _execute([(name, a) for a in args], resolved.jobs)
-    return CheckReport(
-        name=name,
-        domain=domain,
-        instances=instances,
-        passed=failure is None,
-        counterexample=failure,
-    )
+    if resolved.word is not None and name in _CHECKS and name not in _CLASS_CHECKS:
+        *others, last = _CLASS_CHECKS
+        raise ValueError(f"--word restricts only {', '.join(others)} and {last}, not {name}")
+    return _run([name], resolved, sweep)[0]
 
 
 def run_all(bounds: CheckBounds | None = None, **overrides) -> list[CheckReport]:
-    """Run every check; symmetric-group checks sweep sizes 1..n.  Every check
-    is held to the cap before any of them runs."""
-    resolved = _resolve(bounds, overrides)
-    for name in CHECK_IDS:  # cheap: closed forms and lazy arguments
-        _build(name, resolved, sweep=True)
-    return [check(name, resolved, sweep=True) for name in CHECK_IDS]
+    """Run every check; symmetric-group checks sweep sizes 1..n."""
+    return _run(CHECK_IDS, _resolve(bounds, overrides), sweep=True)

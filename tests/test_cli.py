@@ -1,5 +1,6 @@
 """CLI surface: subcommands, output formats, exit codes, thin-wrapper checks."""
 import json
+import os
 import random
 import subprocess
 import sys
@@ -209,6 +210,13 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "cor-1.4", "--word", "1122")
         assert code == 0 and "6 instances" in out
 
+    def test_single_class_output(self, capsys):
+        assert run_cli(capsys, "verify", "cor-1.4", "--word", "1122") == (
+            0,
+            "PASS cor-1.4 (R(1122)): 6 instances\n",
+            "",
+        )
+
     def test_all_small_bounds(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "all", "--n", "3", "--alphabet", "2")
         assert code == 0
@@ -309,6 +317,15 @@ class TestThinWrapper:
             ["table", "1122", "--cap", "5"],
             "error: rearrangement class has 6 elements, more than the cap 5\n",
         ),
+        (["verify", "cor-1.4", "--word", ""], "error: empty word text\n"),
+        (
+            ["verify", "thm-1.3", "--n", "3", "--word", "1122"],
+            "error: --word restricts only cor-1.4, cor-1.5 and prop-2.4, not thm-1.3\n",
+        ),
+        (
+            ["verify", "eq-2", "--word", "1122"],
+            "error: --word restricts only cor-1.4, cor-1.5 and prop-2.4, not eq-2\n",
+        ),
     ],
 )
 def test_refusals_print_one_error_line_and_exit_2(capsys, argv, err):
@@ -320,5 +337,6 @@ def test_module_entry_point():
         [sys.executable, "-m", "mahonian", "map", "code", "212231"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
     )
     assert proc.returncode == 0 and proc.stdout == "314562\n"

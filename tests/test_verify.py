@@ -145,6 +145,10 @@ class TestCheck:
         with pytest.raises(UnknownNameError):
             verify.check("thm-9.9")
 
+    def test_word_refused_by_a_check_without_classes(self):
+        with pytest.raises(ValueError, match="restricts only cor-1.4, cor-1.5 and prop-2.4"):
+            verify.check("eq-2", word=(1, 2))
+
     def test_cap(self):
         with pytest.raises(BoundTooLargeError):
             verify.check("thm-1.3", n=11, cap=1000)
@@ -399,20 +403,97 @@ class TestRunAll:
         )
 
     def test_n9_alphabet4_within_the_default_cap(self, monkeypatch, capsys):
-        ran = []
+        calls = []
 
         def stub(tasks, jobs):
-            ran.append(tasks[0][0])
-            return 0, None
+            calls.append([name for name, _ in tasks])
+            return [(0, None)] * len(tasks)
 
         monkeypatch.setattr(verify, "_execute", stub)
         assert cli.main(["verify", "all", "--n", "9", "--alphabet", "4"]) == 0
-        assert ran == list(verify.CHECK_IDS)
+        assert len(calls) == 1 and list(dict.fromkeys(calls[0])) == list(verify.CHECK_IDS)
         assert capsys.readouterr().out.splitlines()[-1] == (
             "PASS prop-2.4 (classes with n<=9, letters<=4): 0 instances"
         )
         with pytest.raises(BoundTooLargeError, match="needs 758637 instances"):
             verify.check("prop-2.4", n=9, alphabet=4, cap=758_636)
+
+    def test_builds_each_check_once(self, monkeypatch):
+        built = Counter()
+        real = verify._build
+
+        def counted(name, bounds, sweep):
+            built[name] += 1
+            return real(name, bounds, sweep)
+
+        monkeypatch.setattr(verify, "_build", counted)
+        verify.run_all(n=3, alphabet=2)
+        assert built == Counter(verify.CHECK_IDS)
+
+    def test_one_executor_for_the_whole_run(self, monkeypatch, capsys):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        argv = ["verify", "all", "--n", "4", "--alphabet", "2", "--jobs"]
+        assert cli.main([*argv, "1"]) == 0
+        serial = capsys.readouterr().out
+        assert started == []
+        assert cli.main([*argv, "2"]) == 0
+        assert started == [2]
+        assert capsys.readouterr().out == serial
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_planted_fault_split_per_check(self, monkeypatch, jobs):
+        monkeypatch.setattr(involution, "phi", lambda p: tuple(p))
+        reports = verify.run_all(n=3, alphabet=2, jobs=jobs)
+        swap = "(des, Id, F, MAJ, STAT) = (1, {1}, 2, 1, 2)"
+        swapped = "(des, Id, F, STAT, MAJ) = (1, {1}, 2, 2, 1)"
+        assert [r.lines() for r in reports] == [
+            ["PASS thm-1.1 (S_1..S_3): 9 instances"],
+            ["PASS thm-1.2 ([m]^n, m<=2, n<=3): 17 instances"],
+            [
+                "FAIL thm-1.3 (S_1..S_3): 9 instances",
+                "    input:    213",
+                f"    expected: {swap}",
+                f"    actual:   image 213: {swapped}",
+            ],
+            [
+                "FAIL cor-1.4 (classes with n<=3, letters<=2): 14 instances",
+                "    input:    212",
+                f"    expected: {swap}",
+                f"    actual:   image 212: {swapped}",
+            ],
+            [
+                "FAIL cor-1.5 (classes with n<=3, letters<=2): 14 instances",
+                "    input:    212",
+                "    expected: (IMAJ, des, ides, F, MAJ, STAT) = (1, 1, 1, 2, 1, 2)",
+                "    actual:   image 212: (IMAJ, des, ides, F, STAT, MAJ) = (1, 1, 1, 2, 2, 1)",
+            ],
+            ["PASS lemma-3.1 (S_1..S_3): 9 instances"],
+            ["PASS lemma-3.4 (S_1..S_3): 9 instances"],
+            [
+                "FAIL lemma-3.5 (S_1..S_3): 9 instances",
+                "    input:    213",
+                "    expected: MAJ + MAJ(image) = (n+1)*des - (F-1) = 3",
+                "    actual:   MAJ + MAJ(image) = 2",
+            ],
+            ["PASS eq-2 ([m]^n, m<=2, n<=3): 17 instances"],
+            ["PASS prop-2.4 (classes with n<=3, letters<=2): 9 instances"],
+        ]
 
     def test_summaries_cover_all_checks(self):
         assert set(verify.CHECK_SUMMARIES) == set(verify.CHECK_IDS)
