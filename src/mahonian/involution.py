@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import EmptyInputError, InvalidTripleError
-from .tableaux import foata_j
-from .words import Word, check_permutation, code, decode, reverse_complement, shuffle_set
+from .tableaux import _foata_j, foata_j  # foata_j stays importable from here
+from .words import Word, check_permutation, code, decode, shuffle_set
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,8 @@ def _triple_map(p: Sequence[int], g: Callable[[Word], Word]) -> Word:
 
     The top's letters are exactly threshold+1..n, so shifting the top down
     by the threshold standardizes it for `g`, and shifting back restores it.
+    `decompose` checks that `p` is a permutation, so `g` gets permutations
+    and need not check them again.
     """
     triple = decompose(p)
     t = triple.threshold
@@ -133,7 +135,7 @@ def phi(p: Sequence[int]) -> Word:
     >>> phi((5, 4, 6, 7, 3, 1, 9, 8, 2))
     (5, 1, 9, 6, 4, 3, 7, 8, 2)
     """
-    return _triple_map(p, foata_j)
+    return _triple_map(p, _foata_j)
 
 
 def burstein_p(p: Sequence[int]) -> Word:
@@ -142,7 +144,7 @@ def burstein_p(p: Sequence[int]) -> Word:
     Same shuffle-set reflection as `phi`, with reverse-complement acting on
     the subwords instead of tableau switching.
     """
-    return _triple_map(p, reverse_complement)
+    return _triple_map(p, lambda w: tuple(len(w) + 1 - x for x in reversed(w)))
 
 
 def phi_on_class(v: Sequence[int]) -> Word:

@@ -11,6 +11,11 @@ of a permutation with the recording tableau of its reverse-complement and
 invert.  It preserves the inverse descent set and reflects the descent set
 (i goes to n-i), which is exactly what the involutions in
 :mod:`mahonian.involution` need from it.
+
+`Tableau` objects exist only at the public `rsk`/`inverse_rsk` boundary.
+Inside, a tableau pair is the insertion rows as lists together with the
+row in which each step's cell appeared, and `foata_j` runs on that form
+after checking its input once.
 """
 from __future__ import annotations
 
@@ -59,6 +64,25 @@ class Tableau:
         return "\n".join(" ".join(str(e) for e in row) for row in self.rows)
 
 
+def _insert(p: Sequence[int]) -> tuple[list[list[int]], list[int]]:
+    """Row insertion of a permutation: the insertion rows, and for each step
+    the row in which its new cell appeared (the recording tableau, by row)."""
+    rows: list[list[int]] = []
+    row_of_step: list[int] = []
+    for x in p:
+        for r, current in enumerate(rows):
+            j = bisect_right(current, x)
+            if j == len(current):
+                current.append(x)
+                row_of_step.append(r)
+                break
+            current[j], x = x, current[j]
+        else:
+            row_of_step.append(len(rows))
+            rows.append([x])
+    return rows, row_of_step
+
+
 def rsk(p: Sequence[int]) -> tuple[Tableau, Tableau]:
     """Insertion and recording tableaux of a permutation via row insertion.
 
@@ -67,29 +91,11 @@ def rsk(p: Sequence[int]) -> tuple[Tableau, Tableau]:
     (((1, 2), (3,), (4,)), ((1, 4), (2,), (3,)))
     """
     check_permutation(p)
-    return _rsk(p)
-
-
-def _rsk(p: Sequence[int]) -> tuple[Tableau, Tableau]:
-    """`rsk` on a sequence already known to be a permutation."""
-    insert_rows: list[list[int]] = []
-    record_rows: list[list[int]] = []
-    for step, value in enumerate(p, start=1):
-        x = value
-        row = 0
-        while row < len(insert_rows):
-            current = insert_rows[row]
-            j = bisect_right(current, x)
-            if j == len(current):
-                current.append(x)
-                record_rows[row].append(step)
-                break
-            current[j], x = x, current[j]
-            row += 1
-        else:
-            insert_rows.append([x])
-            record_rows.append([step])
-    return Tableau.of(insert_rows), Tableau.of(record_rows)
+    rows, row_of_step = _insert(p)
+    record_rows: list[list[int]] = [[] for _ in rows]
+    for step, r in enumerate(row_of_step, start=1):
+        record_rows[r].append(step)
+    return Tableau.of(rows), Tableau.of(record_rows)
 
 
 def inverse_rsk(insert_tab: Tableau, record_tab: Tableau) -> Word:
@@ -103,22 +109,25 @@ def inverse_rsk(insert_tab: Tableau, record_tab: Tableau) -> Word:
     record_tab.validate()
     if insert_tab.shape != record_tab.shape:
         raise ShapeMismatchError(f"shapes differ: {insert_tab.shape} vs {record_tab.shape}")
-    return _unbump(insert_tab, record_tab)
+    row_of_step = [0] * record_tab.size
+    for i, row in enumerate(record_tab.rows):
+        for step in row:
+            row_of_step[step - 1] = i
+    return _unbump([list(row) for row in insert_tab.rows], row_of_step)
 
 
-def _unbump(insert_tab: Tableau, record_tab: Tableau) -> Word:
-    """`inverse_rsk` on a pair already known to be standard and of one shape."""
-    rows = [list(row) for row in insert_tab.rows]
-    row_of = {entry: i for i, row in enumerate(record_tab.rows) for entry in row}
+def _unbump(rows: list[list[int]], row_of_step: Sequence[int]) -> Word:
+    """`inverse_rsk` on insertion rows (consumed) and the recording tableau
+    by row, already known to be standard and of one shape."""
     out: list[int] = []
-    for step in range(record_tab.size, 0, -1):
-        i = row_of[step]
+    for i in reversed(row_of_step):
         # The largest remaining recording entry sits at the end of its row,
         # so the matching insertion cell is a corner.
         x = rows[i].pop()
         for r in range(i - 1, -1, -1):
-            j = bisect_left(rows[r], x) - 1
-            rows[r][j], x = x, rows[r][j]
+            current = rows[r]
+            j = bisect_left(current, x) - 1
+            current[j], x = x, current[j]
         out.append(x)
     return tuple(reversed(out))
 
@@ -132,12 +141,17 @@ def foata_j(p: Sequence[int]) -> Word:
     (4, 1, 2, 3)
     """
     check_permutation(p)
+    return _foata_j(p)
+
+
+def _foata_j(p: Sequence[int]) -> Word:
+    """`foata_j` on a sequence already known to be a permutation."""
     n = len(p)
-    insert_tab, _ = _rsk(p)
-    _, record_rc = _rsk([n + 1 - x for x in reversed(p)])
-    if insert_tab.shape != record_rc.shape:
+    rows, _ = _insert(p)
+    rc_rows, rc_row_of_step = _insert([n + 1 - x for x in reversed(p)])
+    if list(map(len, rows)) != list(map(len, rc_rows)):
         raise InternalInvariantError(
             "insertion shape must match the reverse-complement recording shape"
         )
-    # Both tableaux come straight from `_rsk`, so they are standard.
-    return _unbump(insert_tab, record_rc)
+    # Both come straight from `_insert`, so they are standard.
+    return _unbump(rows, rc_row_of_step)

@@ -96,7 +96,8 @@ def _characterizations(letters: Iterable[int]) -> tuple[frozenset[Word], frozens
 
 def compatible_set(letters: Iterable[int]) -> frozenset[Word]:
     """Permutations compatible with a multiset, cross-checked both ways."""
-    if not tuple(letters):
+    letters = tuple(letters)
+    if not letters:
         return frozenset({()})
     coded, by_id = _characterizations(letters)
     if coded != by_id:
@@ -173,6 +174,8 @@ class CheckBounds:
     def __post_init__(self) -> None:
         if self.n < 1 or self.alphabet < 1 or self.cap < 1 or self.jobs < 1:
             raise ValueError("bounds must be positive")
+        if self.word is not None and (not self.word or min(self.word) < 1):
+            raise ValueError("a word needs at least one letter, and its letters must be >= 1")
 
 
 # --------------------------------------------------------------- predicates

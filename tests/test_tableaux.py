@@ -2,7 +2,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from mahonian import words
+from mahonian import involution, tableaux, words
 from mahonian.errors import NotStandardError, ShapeMismatchError
 from mahonian.tableaux import Tableau, foata_j, inverse_rsk, rsk
 from mahonian.verify import symmetric_group
@@ -12,6 +12,16 @@ random_perms = (
     .flatmap(lambda n: st.permutations(range(1, n + 1)))
     .map(tuple)
 )
+long_perms = (
+    st.integers(1, 60)
+    .flatmap(lambda n: st.permutations(range(1, n + 1)))
+    .map(tuple)
+)
+
+
+def switch_by_tableaux(p):
+    """foata_j through the public, validating entry points only."""
+    return inverse_rsk(rsk(p)[0], rsk(words.reverse_complement(p))[1])
 
 
 class TestRsk:
@@ -114,9 +124,48 @@ class TestFoataJ:
             for p in symmetric_group(n):
                 assert foata_j(foata_j(p)) == p
 
+    def test_equals_inverse_rsk_of_public_tableaux(self):
+        for n in range(0, 8):
+            for p in symmetric_group(n):
+                assert foata_j(p) == switch_by_tableaux(p), p
+
+    @given(long_perms)
+    def test_equals_inverse_rsk_of_public_tableaux_long(self, p):
+        assert foata_j(p) == switch_by_tableaux(p)
+
     def test_preserves_id_reflects_d(self):
         for n in range(1, 6):
             for p in symmetric_group(n):
                 image = foata_j(p)
                 assert words.inverse_descent_set(image) == words.inverse_descent_set(p)
                 assert words.descent_set(image) == {n - k for k in words.descent_set(p)}
+
+
+@pytest.mark.parametrize(
+    "module, name, checks",
+    [
+        (tableaux, "foata_j", 1),
+        (involution, "phi", 1),
+        (involution, "burstein_p", 1),
+        (involution, "phi_on_class", 2),  # the second is `decode`'s
+    ],
+)
+def test_kernel_checks_its_input_once(monkeypatch, module, name, checks):
+    calls = []
+
+    def counting(w, check=words.check_permutation):
+        calls.append(tuple(w))
+        check(w)
+
+    for wrapped in (words, tableaux, involution):
+        monkeypatch.setattr(wrapped, "check_permutation", counting)
+    p = (3, 1, 4, 5, 2, 7, 6)
+    getattr(module, name)(p)
+    assert len(calls) == checks and calls[0] == p
+
+
+@pytest.mark.parametrize("f", [foata_j, involution.phi, involution.burstein_p])
+@pytest.mark.parametrize("w", [(1, 1, 2), (2, 3), (0, 1)])
+def test_kernel_rejects_non_permutation(f, w):
+    with pytest.raises(ValueError):
+        f(w)

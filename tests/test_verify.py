@@ -80,6 +80,9 @@ class TestCompatibleSet:
     def test_empty(self):
         assert verify.compatible_set(()) == {()}
 
+    def test_one_shot_iterable(self):
+        assert verify.compatible_set(iter((1, 1, 2))) == verify.compatible_set((1, 1, 2))
+
 
 class TestJointDistribution:
     def test_class_1122_table(self):
@@ -194,6 +197,13 @@ class TestCheck:
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             verify.CheckBounds(n=0)
+
+    @pytest.mark.parametrize("word", [(), (0, 2)])
+    def test_bad_word_is_a_usage_error(self, word):
+        with pytest.raises(ValueError):
+            verify.CheckBounds(word=word)
+        with pytest.raises(ValueError):
+            verify.check("cor-1.4", word=word)
 
     def test_parallel_reports_identical(self):
         sequential = verify.check("thm-1.3", n=5, jobs=1)
