@@ -10,9 +10,12 @@ letters are adjacent.
 
 Patterns may repeat letters ("21-2"): equal pattern letters must be matched
 by equal host letters, distinct ones by host letters in the same strict
-order.  Each pattern is compiled on first use into, per block, the
-comparisons its letters must reproduce against earlier letters, and
-counting places one block at a time.  The counter stays generic in the
+order.  Counting runs generated Python code: on first use a pattern becomes
+one small function per block, which places the block at each start
+position, compares each of its letters inline with at most two letters
+already matched, and calls the next block's function.  The code is built
+from letter indices and fixed operators only, and is kept in a small
+bounded cache keyed by the pattern.  The counter stays generic in the
 pattern, since it is the oracle that the verifier holds the closed-form
 STAT kernel to; the tests compare it with a naive backtracker and with a
 scan of every index tuple.
@@ -21,8 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import ParseError, UnknownNameError
 
@@ -58,22 +60,6 @@ class VincularPattern:
     def __str__(self) -> str:
         return "-".join("".join(str(x) for x in block) for block in self.blocks)
 
-    @cached_property
-    def _compiled(self) -> tuple[tuple[int, tuple], ...]:
-        """Per block: how many letters run from its start to the pattern's end,
-        and for each of its letter indices i the pairs (d, sign(letters[i] -
-        letters[d])) over d < i."""
-        letters = self.letters
-        out, first = [], 0
-        for block in self.blocks:
-            checks = tuple(
-                (i, tuple((d, (a > b) - (a < b)) for d, b in enumerate(letters[:i])))
-                for i, a in enumerate(letters[first : first + len(block)], first)
-            )
-            out.append((len(letters) - first, checks))
-            first += len(block)
-        return tuple(out)
-
 
 def parse_pattern(text: str) -> VincularPattern:
     """Parse dash-separated digit blocks into a pattern.
@@ -108,31 +94,74 @@ def count_occurrences(pattern: VincularPattern, word: Sequence[int]) -> int:
     >>> count_occurrences(parse_pattern("31-4-2"), (4, 1, 2, 5, 3))
     1
     """
-    blocks = pattern._compiled
-    n, last = len(word), len(blocks) - 1
-    got = [0] * blocks[0][0]  # host letter matched to each pattern letter so far
+    return _counter(pattern)(word)
 
-    def place(b: int, lo: int) -> int:
-        need, checks = blocks[b]
-        total = 0
-        for start in range(lo, n - need + 1):
-            q = start
-            for i, pairs in checks:
-                x = word[q]
-                for d, sign in pairs:
-                    y = got[d]
-                    if (x > y) - (x < y) != sign:
-                        break
-                else:  # the host letter at q fits pattern letter i
-                    got[i] = x
-                    q += 1
-                    continue
-                break
-            else:  # the whole block fits at `start`
-                total += 1 if b == last else place(b + 1, q)
-        return total
 
-    return place(0, 0)
+# Generated counters by pattern (its letters and adjacency flags), oldest
+# first.  Like `re`'s cache it is bounded, and it lets every parse of the same
+# pattern text, one per CLI call, reuse the code generated for it.
+_COUNTERS: dict[tuple, Callable[[Sequence[int]], int]] = {}
+_MAX_COUNTERS = 64
+
+
+def _counter(pattern: VincularPattern) -> Callable[[Sequence[int]], int]:
+    key = (pattern.letters, pattern.glued)
+    counter = _COUNTERS.get(key)
+    if counter is None:
+        if len(_COUNTERS) >= _MAX_COUNTERS:
+            _COUNTERS.pop(next(iter(_COUNTERS)), None)
+        namespace: dict = {}
+        exec(compile(_source(pattern), "<vincular pattern>", "exec"), namespace)
+        counter = _COUNTERS[key] = namespace["b0"]
+    return counter
+
+
+def _test(letters: tuple[int, ...], i: int) -> str:
+    """The comparison that host letter x<i> must pass, given that the host
+    letters matched before it already compare like their pattern letters:
+    equality with an earlier equal letter if there is one, else strict
+    order between the nearest earlier letters below and above it."""
+    a, earlier = letters[i], letters[:i]
+    if a in earlier:
+        return f"x{i} == x{earlier.index(a)}"
+    chain = [f"x{i}"]
+    below, above = [b for b in earlier if b < a], [b for b in earlier if b > a]
+    if below:
+        chain.insert(0, f"x{earlier.index(max(below))}")
+    if above:
+        chain.append(f"x{earlier.index(min(above))}")
+    return " < ".join(chain) if len(chain) > 1 else ""
+
+
+def _source(pattern: VincularPattern) -> str:
+    """Python source of the counter: one function b<k> per block, which tries
+    each start position for its letters and calls b<k+1> with the host letters
+    matched so far.  Calls, not nested loops, chain the blocks, so that any
+    number of blocks compiles.  Only indices and fixed operators are written."""
+    letters, blocks = pattern.letters, pattern.blocks
+    lines, first = [], 0
+    for k, block in enumerate(blocks):
+        end = first + len(block)
+        if k == 0:
+            lines += ["def b0(w):", "    n, lo = len(w), 0"]
+        else:
+            lines.append(f"def b{k}(w, n, lo, {', '.join(f'x{d}' for d in range(first))}):")
+        # Start positions leave room for this block and every later one.
+        lines += ["    total = 0", f"    for s in range(lo, n - {len(letters) - first - 1}):"]
+        for i in range(first, end):
+            offset = f" + {i - first}" if i > first else ""
+            lines.append(f"        x{i} = w[s{offset}]")
+            test = _test(letters, i)
+            if test:
+                lines += [f"        if not ({test}):", "            continue"]
+        if k == len(blocks) - 1:
+            lines.append("        total += 1")
+        else:
+            matched = ", ".join(f"x{d}" for d in range(end))
+            lines.append(f"        total += b{k + 1}(w, n, s + {len(block)}, {matched})")
+        lines.append("    return total")
+        first = end
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

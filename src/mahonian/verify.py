@@ -4,14 +4,20 @@ Bounded exhaustive verification.
 Enumerates symmetric groups, word cubes [m]^n and rearrangement classes,
 builds joint statistic distributions, and runs a registry of named checks.
 Where a check asserts a statistic swap under one of the involutions it is
-verified pointwise, element by element, which is strictly stronger than
-comparing distributions and localizes any failure.
+verified pointwise, element by element, together with the map being an
+involution there: the image of each word's image must be the word.  A
+pointwise swap by a bijection gives the equidistribution, and any failure
+is localized to one word.
 
 Each check scans its domain in lexicographic order and reports the instance
 count plus the first counterexample, if any.  Domains are partitioned into
-lexicographically contiguous chunks.  A run sends the chunks of all its
-checks, in check order, to one executor, serial or a single process pool,
-so every report is identical either way.
+lexicographically contiguous chunks, and a check judges a whole chunk at a
+time.  The involutions fix the first letter and the class, so every image
+lies in its word's chunk: a swap check maps and profiles each word once and
+reads each image's profile and image from the words it holds, at most
+`_WINDOW` at once.  A run sends the chunks of all its checks, in check
+order, to one executor, serial or a single process pool, so every report
+is identical either way.
 """
 from __future__ import annotations
 
@@ -21,7 +27,7 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import combinations_with_replacement, groupby, product
+from itertools import combinations_with_replacement, groupby, islice, product
 from itertools import permutations as _permutations
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -214,12 +220,7 @@ def _oracle_profile(w, schema: Sequence[str]) -> tuple:
     return tuple(_oracle_stat(w) if name == "stat" else statistic(name)(w) for name in schema)
 
 
-def _pointwise_swap(w, mapper, left_schema, right_schema, role="image", measure=profile):
-    image = mapper(w)
-    left = measure(w, left_schema)
-    right = measure(image, right_schema)
-    if left == right:
-        return None
+def _mismatch(w, role, image, left_schema, left, right_schema, right) -> Counterexample:
     return Counterexample(
         input=words.format_word(w),
         expected=_fmt_profile(left_schema, left),
@@ -227,17 +228,111 @@ def _pointwise_swap(w, mapper, left_schema, right_schema, role="image", measure=
     )
 
 
-def _swap_predicate(map_name: str, schema: Sequence[str]):
-    """Pointwise MAJ/STAT swap under `involution.<map_name>`, looked up at each
-    call so that a patched map is the one checked."""
+def _raised(x, exc: Exception) -> Counterexample:
+    return Counterexample(
+        input=words.format_word(x) if type(x) is tuple else str(x),
+        expected="no exception",
+        actual=f"raised {type(exc).__name__}: {exc}",
+    )
+
+
+def _first_failure(predicate, instances: Iterable) -> Counterexample | None:
+    """The failure of the first instance that fails `predicate`; an
+    instance on which the predicate raises fails there."""
+    for x in instances:
+        try:
+            found = predicate(x)
+        except Exception as exc:  # a map that raises on an instance fails there
+            found = _raised(x, exc)
+        if found is not None:
+            return found
+    return None
+
+
+def _each(predicate):
+    """Judge of a chunk that applies `predicate` to each instance in order."""
+    return functools.partial(_first_failure, predicate)
+
+
+def _outcome(f, *args) -> tuple:
+    """(f(*args), None), or (None, the exception it raised)."""
+    try:
+        return f(*args), None
+    except Exception as exc:  # judged later, against the word it belongs to
+        return None, exc
+
+
+def _value(outcome: tuple):
+    value, exc = outcome
+    if exc is not None:
+        raise exc
+    return value
+
+
+# The most words a swap check holds at once: a whole S_9 chunk (n = 9, one
+# first letter) fits, and so does every class of at most 9 letters.
+_WINDOW = math.factorial(8)
+
+
+def _swap_judge(map_name: str, schema: Sequence[str]):
+    """Judge of a chunk for the pointwise MAJ/STAT swap under
+    `involution.<map_name>`, looked up at each call so that a patched map is
+    the one checked.  Each word is judged in order: its map must not raise,
+    its image must show its `schema` profile with MAJ and STAT exchanged,
+    and the image of its image must be the word.
+
+    The chunk is read in windows of at most `_WINDOW` consecutive words.
+    Each word of a window is mapped and profiled once; an image inside the
+    window is read from it, and the image's swapped profile is its profile
+    with the columns permuted.  An image outside the window is mapped and
+    profiled the same way on demand, so the report does not depend on the
+    window.  Every map fixes F and the class, so a window that holds the
+    whole chunk holds every image."""
     image_schema = _swapped(schema)
-    return lambda w: _pointwise_swap(w, getattr(involution, map_name), schema, image_schema)
+    columns = [schema.index(name) for name in image_schema]
+
+    def judge(instances: Iterable) -> Counterexample | None:
+        mapper = getattr(involution, map_name)
+
+        def entry(w) -> tuple:
+            return _outcome(mapper, w), _outcome(profile, w, schema)
+
+        def failure(w) -> Counterexample | None:
+            mapped, profiled = held[w]
+            image, left = _value(mapped), _value(profiled)
+            mapped_back, profiled_image = held.get(image) or entry(image)
+            image_profile = _value(profiled_image)
+            right = tuple(image_profile[i] for i in columns)
+            if left != right:
+                return _mismatch(w, "image", image, schema, left, image_schema, right)
+            back, exc = mapped_back
+            if exc is None and back == w:
+                return None
+            fmt = words.format_word
+            return Counterexample(
+                input=fmt(w),
+                expected=f"{map_name}({map_name}({fmt(w)})) = {fmt(w)}",
+                actual=f"{map_name}({fmt(image)}) "
+                + (f"= {fmt(back)}" if exc is None else f"raised {type(exc).__name__}: {exc}"),
+            )
+
+        chunk = iter(instances)
+        while window := list(islice(chunk, _WINDOW)):
+            held = {w: entry(w) for w in window}
+            found = _first_failure(failure, window)
+            if found is not None:
+                return found
+        return None
+
+    return judge
 
 
 def _pred_code_preserves(w):
-    return _pointwise_swap(
-        w, words.code, _CODE_SCHEMA, _CODE_SCHEMA, "coded", measure=_oracle_profile
-    )
+    image = words.code(w)
+    left, right = _oracle_profile(w, _CODE_SCHEMA), _oracle_profile(image, _CODE_SCHEMA)
+    if left == right:
+        return None
+    return _mismatch(w, "coded", image, _CODE_SCHEMA, left, _CODE_SCHEMA, right)
 
 
 def _pred_switch_sets(p):
@@ -389,51 +484,55 @@ def _classes_of_one_size(*classes: Word):
 class _Check(NamedTuple):
     summary: str
     chunk: Callable[..., tuple[int, Iterable]]
-    predicate: Callable[[object], Counterexample | None]
+    judge: Callable[[Iterable], Counterexample | None]
 
 
 _CHECKS: dict[str, _Check] = {
     "thm-1.1": _Check(
         "pointwise (Adj, des, F, MAJ, STAT) swap under burstein_p on S_n",
         _perm_chunk,
-        _swap_predicate("burstein_p", _ADJ_SCHEMA),
+        _swap_judge("burstein_p", _ADJ_SCHEMA),
     ),
     "thm-1.2": _Check(
         "sextuple (Adj, des, ides, F, MAJ, STAT) equidistribution on [m]^n",
         _whole_cube,
-        _pred_cube_swap,
+        _each(_pred_cube_swap),
     ),
     "thm-1.3": _Check(
         "pointwise (des, Id, F, MAJ, STAT) swap under phi on S_n",
         _perm_chunk,
-        _swap_predicate("phi", _SWAP_SCHEMA),
+        _swap_judge("phi", _SWAP_SCHEMA),
     ),
     "cor-1.4": _Check(
         "pointwise quintuple swap under phi_on_class over rearrangement classes",
         _class_chunk,
-        _swap_predicate("phi_on_class", _SWAP_SCHEMA),
+        _swap_judge("phi_on_class", _SWAP_SCHEMA),
     ),
     "cor-1.5": _Check(
         "pointwise (IMAJ, des, ides, F, MAJ, STAT) swap under phi_on_class",
         _class_chunk,
-        _swap_predicate("phi_on_class", _SEXT_SCHEMA),
+        _swap_judge("phi_on_class", _SEXT_SCHEMA),
     ),
     "lemma-3.1": _Check(
-        "foata_j preserves Id and reflects D on S_n", _perm_chunk, _pred_switch_sets
+        "foata_j preserves Id and reflects D on S_n", _perm_chunk, _each(_pred_switch_sets)
     ),
     "lemma-3.4": _Check(
-        "MAJ + STAT = (n+1)*des - (F-1) on S_n", _perm_chunk, _pred_maj_stat_sum
+        "MAJ + STAT = (n+1)*des - (F-1) on S_n", _perm_chunk, _each(_pred_maj_stat_sum)
     ),
     "lemma-3.5": _Check(
-        "MAJ + MAJ(phi image) = (n+1)*des - (F-1) on S_n", _perm_chunk, _pred_maj_pair_sum
+        "MAJ + MAJ(phi image) = (n+1)*des - (F-1) on S_n",
+        _perm_chunk,
+        _each(_pred_maj_pair_sum),
     ),
     "eq-2": _Check(
-        "coding preserves (Adj, des, Id, MAJ, STAT) on [m]^n", _cube_chunk, _pred_code_preserves
+        "coding preserves (Adj, des, Id, MAJ, STAT) on [m]^n",
+        _cube_chunk,
+        _each(_pred_code_preserves),
     ),
     "prop-2.4": _Check(
         "both characterizations of compatible permutations coincide",
         _classes_of_one_size,
-        _pred_characterizations,
+        _each(_pred_characterizations),
     ),
 }
 
@@ -458,18 +557,7 @@ def _run_task(task: tuple[str, tuple]) -> tuple[int, Counterexample | None]:
     name, args = task
     entry = _CHECKS[name]
     size, instances = entry.chunk(*args)
-    for x in instances:
-        try:
-            failure = entry.predicate(x)
-        except Exception as exc:  # a map that raises on an instance fails there
-            failure = Counterexample(
-                input=words.format_word(x) if type(x) is tuple else str(x),
-                expected="no exception",
-                actual=f"raised {type(exc).__name__}: {exc}",
-            )
-        if failure is not None:
-            return size, failure
-    return size, None
+    return size, entry.judge(instances)
 
 
 def _execute(tasks: list[tuple], jobs: int) -> list[tuple[int, Counterexample | None]]:

@@ -30,7 +30,7 @@ from .errors import (
 
 Word = tuple[int, ...]
 
-_SEPARATED_RE = re.compile(r"[,\s]")
+_SEPARATOR_RE = re.compile(r"[,\s]+")
 
 
 def is_permutation(w: Sequence[int]) -> bool:
@@ -48,7 +48,7 @@ def parse_word(text: str) -> Word:
 
     Two forms are accepted: a contiguous digit string such as "212231"
     (letters 1-9 only), or comma/space-separated integers such as
-    "10,2,10,3" for larger alphabets.
+    "10,2,10,3" for larger alphabets.  Letters are ASCII digits in both.
 
     >>> parse_word("212231")
     (2, 1, 2, 2, 3, 1)
@@ -58,16 +58,14 @@ def parse_word(text: str) -> Word:
     s = text.strip()
     if not s:
         raise ParseError("empty word text")
-    if _SEPARATED_RE.search(s):
-        tokens = [tok for tok in re.split(r"[,\s]+", s) if tok]
-        try:
-            letters = tuple(int(tok) for tok in tokens)
-        except ValueError:
-            raise ParseError(f"not a word: {text!r}") from None
-    elif s.isdigit():
-        letters = tuple(int(ch) for ch in s)
+    if _SEPARATOR_RE.search(s):
+        tokens = [tok for tok in _SEPARATOR_RE.split(s) if tok]
     else:
+        tokens = list(s)
+    # str.isdigit alone admits other scripts' digits, which int() reads or rejects.
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
         raise ParseError(f"not a word: {text!r}")
+    letters = tuple(int(tok) for tok in tokens)
     if any(x < 1 for x in letters):
         raise ParseError(f"letters must be positive: {text!r}")
     return letters

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, output formats, exit codes, thin-wrapper checks."""
 import json
+import math
 import os
 import random
 import subprocess
@@ -127,6 +128,32 @@ class TestPattern:
         assert err == (
             f"error: a 4-letter pattern in {length} letters has {tuples}"
             f" index tuples, more than the cap {cap}\n"
+        )
+
+    @pytest.mark.parametrize("length", [16, 31, 48])
+    def test_long_word_shapes(self, capsys, length):
+        """`pattern 31-4-2` on a word of 16-48 letters over 1..12, counted
+        directly, and its refusal one index tuple below the cap."""
+        rng = random.Random(length)
+        w = [rng.randint(1, 12) for _ in range(length)]
+        want = sum(
+            w[i + 1] < w[k] < w[i] < w[j]
+            for i in range(length - 1)
+            for j in range(i + 2, length)
+            for k in range(j + 1, length)
+        )
+        text, tuples = ",".join(map(str, w)), math.comb(length, 4)
+        assert run_cli(capsys, "pattern", "31-4-2", text) == (0, f"{want}\n", "")
+        assert run_cli(capsys, "pattern", "31-4-2", text, "--cap", str(tuples)) == (
+            0,
+            f"{want}\n",
+            "",
+        )
+        assert run_cli(capsys, "pattern", "31-4-2", text, "--cap", str(tuples - 1)) == (
+            2,
+            "",
+            f"error: a 4-letter pattern in {length} letters has {tuples}"
+            f" index tuples, more than the cap {tuples - 1}\n",
         )
 
     def test_short_pattern_on_a_long_word(self, capsys):
@@ -326,6 +353,7 @@ class TestThinWrapper:
             ["verify", "eq-2", "--word", "1122"],
             "error: --word restricts only cor-1.4, cor-1.5 and prop-2.4, not eq-2\n",
         ),
+        (["stats", "\u00b21"], "error: not a word: '\u00b21'\n"),
     ],
 )
 def test_refusals_print_one_error_line_and_exit_2(capsys, argv, err):

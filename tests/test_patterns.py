@@ -1,8 +1,8 @@
 """Vincular pattern parsing, occurrence counting, and the named pattern sums."""
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mahonian import patterns, words
 from mahonian.errors import ParseError, UnknownNameError
@@ -83,6 +83,28 @@ def brute_count(pattern, word):
     return total
 
 
+@st.composite
+def many_block_patterns(draw):
+    """21-30 blocks of one or two letters, at most 32 letters, each value
+    repeated up to three times, and a host word: the pattern's own letters
+    with up to two letters inserted, so that most draws occur.  (Fewer
+    values would let `reference_count`, which does not prune, run for
+    minutes.)"""
+    blocks = draw(st.integers(21, 30))
+    pairs = draw(st.sets(st.integers(0, blocks - 1), max_size=32 - blocks))
+    lengths = [2 if b in pairs else 1 for b in range(blocks)]
+    order = draw(st.permutations(range(sum(lengths))))
+    letters = tuple(x // 3 + 1 for x in order)
+    glued = []
+    for length in lengths:
+        glued += [True] * (length - 1) + [False]
+    pattern = patterns.VincularPattern(letters, tuple(glued[:-1]))
+    word = list(letters)
+    for _ in range(draw(st.integers(0, 2))):
+        word.insert(draw(st.integers(0, len(word))), draw(st.integers(1, max(letters) + 1)))
+    return pattern, tuple(word)
+
+
 class TestParse:
     def test_multi_block(self):
         pat = patterns.parse_pattern("31-4-2")
@@ -135,6 +157,41 @@ class TestCount:
     def test_random_pattern_matches_both_references(self, pat, w):
         count = patterns.count_occurrences(pat, w)
         assert count == reference_count(pat, w) == brute_count(pat, w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(many_block_patterns())
+    def test_more_blocks_than_python_nests_match_both_references(self, drawn):
+        pat, w = drawn
+        assert len(pat.blocks) > 20
+        assert patterns.count_occurrences(pat, pat.letters) == 1
+        count = patterns.count_occurrences(pat, w)
+        assert count == reference_count(pat, w) == brute_count(pat, w)
+
+    def test_parsing_again_reuses_the_generated_code(self, monkeypatch):
+        generated = []
+        real = patterns._source
+        monkeypatch.setattr(patterns, "_COUNTERS", {})
+        monkeypatch.setattr(patterns, "_source", lambda pat: generated.append(pat) or real(pat))
+        first, again = patterns.parse_pattern("31-4-2"), patterns.parse_pattern("31-4-2")
+        assert first is not again
+        w = (4, 1, 2, 5, 3)
+        assert patterns.count_occurrences(first, w) == patterns.count_occurrences(again, w) == 1
+        assert generated == [first]
+        assert patterns._counter(first) is patterns._counter(again)
+
+    def test_generated_code_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(patterns, "_COUNTERS", {})
+        valid = [  # the 4-letter patterns ab-cd whose letters cover 1..max
+            patterns.parse_pattern("{}{}-{}{}".format(*letters))
+            for letters in product(range(1, 5), repeat=4)
+            if set(letters) == set(range(1, max(letters) + 1))
+        ]
+        assert len(valid) > patterns._MAX_COUNTERS
+        w = (1, 2, 1, 3, 2)
+        for pat in valid:
+            assert patterns.count_occurrences(pat, w) == brute_count(pat, w)
+        assert len(patterns._COUNTERS) == patterns._MAX_COUNTERS
+        assert (valid[-1].letters, valid[-1].glued) in patterns._COUNTERS
 
     def test_named_sums_match_reference_on_small_words(self):
         specs = patterns._SUM_SPECS

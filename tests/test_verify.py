@@ -389,6 +389,164 @@ class TestCheck:
         assert report.lines() == ["PASS lemma-3.1 (S_3): 6 instances"]
 
 
+SWAP_CHECKS = {
+    "thm-1.1": "burstein_p",
+    "thm-1.3": "phi",
+    "cor-1.4": "phi_on_class",
+    "cor-1.5": "phi_on_class",
+}
+
+# For each map: a word, and another word of its chunk with the same profile
+# in every swap check of the map.
+SAME_PROFILE = {
+    "burstein_p": ((2, 3, 1, 4), (2, 4, 1, 3)),
+    "phi": ((1, 2, 4, 3, 5), (1, 4, 5, 2, 3)),
+    "phi_on_class": ((1, 1, 2, 1, 2), (1, 2, 2, 1, 1)),
+}
+
+
+def _non_injective(map_name):
+    """Send the word of SAME_PROFILE to the image of the other word: the swap
+    still holds pointwise, but the map is not injective."""
+    real = getattr(involution, map_name)
+    word, other = SAME_PROFILE[map_name]
+    target = real(other)
+    return lambda w: target if tuple(w) == word else real(w)
+
+
+def _raising_on(map_name, word):
+    real = getattr(involution, map_name)
+
+    def planted(w):
+        if tuple(w) == word:
+            raise ValueError("planted")
+        return real(w)
+
+    return planted
+
+
+FAULTS = {
+    "identity": lambda map_name: lambda w: tuple(w),
+    "raises": lambda map_name: _raising_on(map_name, SAME_PROFILE[map_name][0]),
+    "not injective": _non_injective,
+}
+
+
+class TestInvolutivity:
+    @pytest.mark.parametrize(
+        "name, bounds, lines",
+        [
+            (
+                "thm-1.1",
+                {"n": 4},
+                [
+                    "FAIL thm-1.1 (S_4): 24 instances",
+                    "    input:    2314",
+                    "    expected: burstein_p(burstein_p(2314)) = 2314",
+                    "    actual:   burstein_p(2413) = 2413",
+                ],
+            ),
+            (
+                "thm-1.3",
+                {"n": 5},
+                [
+                    "FAIL thm-1.3 (S_5): 120 instances",
+                    "    input:    12435",
+                    "    expected: phi(phi(12435)) = 12435",
+                    "    actual:   phi(14523) = 14523",
+                ],
+            ),
+            (
+                "cor-1.4",
+                {"word": (1, 1, 1, 2, 2)},
+                [
+                    "FAIL cor-1.4 (R(11122)): 10 instances",
+                    "    input:    11212",
+                    "    expected: phi_on_class(phi_on_class(11212)) = 11212",
+                    "    actual:   phi_on_class(12211) = 12211",
+                ],
+            ),
+            (
+                "cor-1.5",
+                {"n": 5, "alphabet": 2},
+                [
+                    "FAIL cor-1.5 (classes with n<=5, letters<=2): 62 instances",
+                    "    input:    11212",
+                    "    expected: phi_on_class(phi_on_class(11212)) = 11212",
+                    "    actual:   phi_on_class(12211) = 12211",
+                ],
+            ),
+        ],
+    )
+    def test_non_injective_map_that_swaps_pointwise_fails(self, monkeypatch, name, bounds, lines):
+        map_name = SWAP_CHECKS[name]
+        word, other = SAME_PROFILE[map_name]
+        schema = {"thm-1.1": verify._ADJ_SCHEMA, "cor-1.5": verify._SEXT_SCHEMA}.get(
+            name, verify._SWAP_SCHEMA
+        )
+        assert verify.profile(word, schema) == verify.profile(other, schema)
+        monkeypatch.setattr(involution, map_name, _non_injective(map_name))
+        assert verify.check(name, **bounds).lines() == lines
+
+    def test_map_raising_on_an_image_names_the_word(self, monkeypatch):
+        assert involution.phi((2, 1, 3)) == (2, 3, 1)
+        monkeypatch.setattr(involution, "phi", _raising_on("phi", (2, 3, 1)))
+        assert verify.check("thm-1.3", n=3).lines() == [
+            "FAIL thm-1.3 (S_3): 6 instances",
+            "    input:    213",
+            "    expected: phi(phi(213)) = 213",
+            "    actual:   phi(231) raised ValueError: planted",
+        ]
+
+
+class TestWindow:
+    @staticmethod
+    def _reports(monkeypatch, fault):
+        """The report of every swap check over S_1..S_5 or the classes of
+        [3]^<=5, with `fault` planted in its map."""
+        reports = {}
+        for name, map_name in SWAP_CHECKS.items():
+            with monkeypatch.context() as m:
+                if fault is not None:
+                    m.setattr(involution, map_name, FAULTS[fault](map_name))
+                reports[name] = verify.check(name, sweep=True, n=5, alphabet=3).lines()
+        return reports
+
+    @pytest.mark.parametrize("fault", [None, *FAULTS])
+    def test_reports_do_not_depend_on_the_window(self, monkeypatch, fault):
+        default = self._reports(monkeypatch, fault)
+        assert {r[0].split()[0] for r in default.values()} == {"PASS" if fault is None else "FAIL"}
+        for window in (1, 3):
+            monkeypatch.setattr(verify, "_WINDOW", window)
+            assert self._reports(monkeypatch, fault) == default
+
+    def test_no_chunk_holds_more_than_the_window(self, monkeypatch):
+        """When a word is first mapped, at most `_WINDOW` words of its chunk
+        past the words before it have been drawn."""
+        monkeypatch.setattr(verify, "_WINDOW", 3)
+        real_permutations, drawn = verify._permutations, []
+
+        def counted(rest):
+            drawn.append(0)
+            for tail in real_permutations(rest):
+                drawn[-1] += 1
+                yield tail
+
+        first_seen, real_phi = {}, involution.phi
+
+        def phi(p):
+            first_seen.setdefault(tuple(p), drawn[-1])
+            return real_phi(p)
+
+        monkeypatch.setattr(verify, "_permutations", counted)
+        monkeypatch.setattr(involution, "phi", phi)
+        assert verify.check("thm-1.3", n=5).passed
+        assert len(first_seen) == 120
+        for p, count in first_seen.items():
+            chunk = sorted(q for q in verify.symmetric_group(5) if q[0] == p[0])
+            assert count <= chunk.index(p) + 3, p
+
+
 class TestRunAll:
     def test_all_pass_small(self):
         reports = verify.run_all(n=4, alphabet=3)

@@ -44,6 +44,15 @@ class TestParsing:
         with pytest.raises(ParseError):
             words.parse_word(bad)
 
+    # An underscore, Arabic-Indic and fullwidth digits, and a superscript two:
+    # int() reads the first three, and str.isdigit() admits the last.
+    @pytest.mark.parametrize(
+        "bad", ["1_0,2", "\u0661\u0662", "\uff11\uff12", "\u00b21", "3,\u0663"]
+    )
+    def test_letters_are_ascii_digits(self, bad):
+        with pytest.raises(ParseError, match="^not a word: "):
+            words.parse_word(bad)
+
     def test_format_small_letters(self):
         assert words.format_word((2, 1, 2, 2, 3, 1)) == "212231"
 
