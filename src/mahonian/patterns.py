@@ -116,7 +116,7 @@ def _counter(pattern: VincularPattern) -> Callable[[Sequence[int]], int]:
     return counter
 
 
-def _test(letters: tuple[int, ...], i: int) -> str:
+def _comparison(letters: tuple[int, ...], i: int) -> str:
     """The comparison that host letter x<i> must pass, given that the host
     letters matched before it already compare like their pattern letters:
     equality with an earlier equal letter if there is one, else strict
@@ -151,7 +151,7 @@ def _source(pattern: VincularPattern) -> str:
         for i in range(first, end):
             offset = f" + {i - first}" if i > first else ""
             lines.append(f"        x{i} = w[s{offset}]")
-            test = _test(letters, i)
+            test = _comparison(letters, i)
             if test:
                 lines += [f"        if not ({test}):", "            continue"]
         if k == len(blocks) - 1:
