@@ -255,11 +255,12 @@ def _each(predicate):
 
 
 def _outcome(f, *args) -> tuple:
-    """(f(*args), None), or (None, the exception it raised)."""
+    """(f(*args), None), or (None, the exception it raised).  The traceback
+    is dropped, so that a window of failures holds no frames."""
     try:
         return f(*args), None
     except Exception as exc:  # judged later, against the word it belongs to
-        return None, exc
+        return None, exc.with_traceback(None)
 
 
 def _value(outcome: tuple):
