@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import ParseError, UnknownNameError
+from .errors import BoundTooLargeError, ParseError, UnknownNameError
 
 _PATTERN_RE = re.compile(r"[1-9]+(?:-[1-9]+)*")
 
@@ -103,11 +103,20 @@ def count_occurrences(pattern: VincularPattern, word: Sequence[int]) -> int:
 _COUNTERS: dict[tuple, Callable[[Sequence[int]], int]] = {}
 _MAX_COUNTERS = 64
 
+# The most blocks a counter is generated for.  Each block is one nested call,
+# so a deeper pattern would exhaust Python's recursion limit (1,000 frames).
+_MAX_BLOCKS = 500
+
 
 def _counter(pattern: VincularPattern) -> Callable[[Sequence[int]], int]:
     key = (pattern.letters, pattern.glued)
     counter = _COUNTERS.get(key)
     if counter is None:
+        blocks = len(pattern.blocks)
+        if blocks > _MAX_BLOCKS:
+            raise BoundTooLargeError(
+                f"a {blocks}-block pattern has more blocks than the limit {_MAX_BLOCKS}"
+            )
         if len(_COUNTERS) >= _MAX_COUNTERS:
             _COUNTERS.pop(next(iter(_COUNTERS)), None)
         namespace: dict = {}
@@ -136,8 +145,9 @@ def _comparison(letters: tuple[int, ...], i: int) -> str:
 def _source(pattern: VincularPattern) -> str:
     """Python source of the counter: one function b<k> per block, which tries
     each start position for its letters and calls b<k+1> with the host letters
-    matched so far.  Calls, not nested loops, chain the blocks, so that any
-    number of blocks compiles.  Only indices and fixed operators are written."""
+    matched so far.  Calls, not nested loops, chain the blocks, so that more
+    blocks compile than Python nests loops, up to `_MAX_BLOCKS`.  Only
+    indices and fixed operators are written."""
     letters, blocks = pattern.letters, pattern.blocks
     lines, first = [], 0
     for k, block in enumerate(blocks):

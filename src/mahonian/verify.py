@@ -13,11 +13,11 @@ Each check scans its domain in lexicographic order and reports the instance
 count plus the first counterexample, if any.  Domains are partitioned into
 lexicographically contiguous chunks, and a check judges a whole chunk at a
 time.  The involutions fix the first letter and the class, so every image
-lies in its word's chunk: a swap check maps and profiles each word once and
-reads each image's profile and image from the words it holds, at most
-`_WINDOW` at once.  A run sends the chunks of all its checks, in check
-order, to one executor, serial or a single process pool, so every report
-is identical either way.
+lies in its word's chunk: a swap check walks the chunk by involution pairs,
+maps and profiles each word once, and holds only the images it has vouched
+for until the walk reaches them.  A run sends the chunks of all its checks,
+in check order, to one executor, serial or a single process pool, so every
+report is identical either way.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import combinations_with_replacement, groupby, islice, product
+from itertools import combinations_with_replacement, groupby, product
 from itertools import permutations as _permutations
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -254,27 +254,6 @@ def _each(predicate):
     return functools.partial(_first_failure, predicate)
 
 
-def _outcome(f, *args) -> tuple:
-    """(f(*args), None), or (None, the exception it raised).  The traceback
-    is dropped, so that a window of failures holds no frames."""
-    try:
-        return f(*args), None
-    except Exception as exc:  # judged later, against the word it belongs to
-        return None, exc.with_traceback(None)
-
-
-def _value(outcome: tuple):
-    value, exc = outcome
-    if exc is not None:
-        raise exc
-    return value
-
-
-# The most words a swap check holds at once: a whole S_9 chunk (n = 9, one
-# first letter) fits, and so does every class of at most 9 letters.
-_WINDOW = math.factorial(8)
-
-
 def _swap_judge(map_name: str, schema: Sequence[str]):
     """Judge of a chunk for the pointwise MAJ/STAT swap under
     `involution.<map_name>`, looked up at each call so that a patched map is
@@ -282,48 +261,49 @@ def _swap_judge(map_name: str, schema: Sequence[str]):
     its image must show its `schema` profile with MAJ and STAT exchanged,
     and the image of its image must be the word.
 
-    The chunk is read in windows of at most `_WINDOW` consecutive words.
-    Each word of a window is mapped and profiled once; an image inside the
-    window is read from it, and the image's swapped profile is its profile
-    with the columns permuted.  An image outside the window is mapped and
-    profiled the same way on demand, so the report does not depend on the
-    window.  Every map fixes F and the class, so a window that holds the
-    whole chunk holds every image."""
+    The chunk is walked by involution pairs.  A word w maps to v, and v is
+    profiled and, unless it is w, mapped back.  When w passes, v passes too,
+    since exchanging MAJ and STAT is itself an involution on profiles; so v
+    is vouched for and skipped when the walk reaches it.  Each word is thus
+    mapped and profiled once, and only the vouched words are held.  The walk
+    never looks back: a word whose image precedes it and that is not vouched
+    for fails, since its image does not map back to it."""
     image_schema = _swapped(schema)
     columns = [schema.index(name) for name in image_schema]
 
     def judge(instances: Iterable) -> Counterexample | None:
         mapper = getattr(involution, map_name)
-
-        def entry(w) -> tuple:
-            return _outcome(mapper, w), _outcome(profile, w, schema)
+        vouched = set()
+        fmt = words.format_word
 
         def failure(w) -> Counterexample | None:
-            mapped, profiled = held[w]
-            image, left = _value(mapped), _value(profiled)
-            mapped_back, profiled_image = held.get(image) or entry(image)
-            image_profile = _value(profiled_image)
+            if w in vouched:
+                vouched.remove(w)
+                return None
+            image = mapper(w)
+            left = profile(w, schema)
+            image_profile = left if image == w else profile(image, schema)
             right = tuple(image_profile[i] for i in columns)
             if left != right:
                 return _mismatch(w, "image", image, schema, left, image_schema, right)
-            back, exc = mapped_back
-            if exc is None and back == w:
+            if image == w:
                 return None
-            fmt = words.format_word
+            try:
+                back = mapper(image)
+            except Exception as exc:  # the word fails: its image cannot be mapped back
+                actual = f"raised {type(exc).__name__}: {exc}"
+            else:
+                if back == w:
+                    vouched.add(image)
+                    return None
+                actual = f"= {fmt(back)}"
             return Counterexample(
                 input=fmt(w),
                 expected=f"{map_name}({map_name}({fmt(w)})) = {fmt(w)}",
-                actual=f"{map_name}({fmt(image)}) "
-                + (f"= {fmt(back)}" if exc is None else f"raised {type(exc).__name__}: {exc}"),
+                actual=f"{map_name}({fmt(image)}) {actual}",
             )
 
-        chunk = iter(instances)
-        while window := list(islice(chunk, _WINDOW)):
-            held = {w: entry(w) for w in window}
-            found = _first_failure(failure, window)
-            if found is not None:
-                return found
-        return None
+        return _first_failure(failure, instances)
 
     return judge
 
@@ -354,10 +334,12 @@ def _pred_switch_sets(p):
 
 
 def _maj_sum(p, term: str, value: int):
-    """The counterexample, if any, to MAJ(p) + `term` = (n+1)*des(p) - (F-1)."""
-    descents = words.descent_set(p)
-    lhs = sum(descents) + value
-    rhs = (len(p) + 1) * len(descents) - (p[0] - 1)
+    """The counterexample, if any, to MAJ(p) + `term` = (n+1)*des(p) - (F-1).
+    des, MAJ and F are read through `STATISTICS`, as the swap checks read
+    them, so that the identity also pins those columns."""
+    des, maj, first = profile(p, ("des", "maj", "F"))
+    lhs = maj + value
+    rhs = (len(p) + 1) * des - (first - 1)
     if lhs == rhs:
         return None
     return Counterexample(
@@ -372,7 +354,7 @@ def _pred_maj_stat_sum(p):
 
 
 def _pred_maj_pair_sum(p):
-    return _maj_sum(p, "MAJ(image)", sum(words.descent_set(involution.phi(p))))
+    return _maj_sum(p, "MAJ(image)", statistic("maj")(involution.phi(p)))
 
 
 class _Cube(NamedTuple):

@@ -130,6 +130,18 @@ class TestPattern:
             f" index tuples, more than the cap {cap}\n"
         )
 
+    @pytest.mark.parametrize(
+        "blocks, result",
+        [
+            (300, (0, "1\n", "")),
+            (1200, (2, "", "error: a 1200-block pattern has more blocks than the limit 500\n")),
+        ],
+    )
+    def test_deep_pattern_is_a_usage_error(self, capsys, blocks, result):
+        """One block per letter on a word of as many ones: one index tuple,
+        so the cap lets it through, and only the block limit refuses it."""
+        assert run_cli(capsys, "pattern", "-".join(["1"] * blocks), "1" * blocks) == result
+
     @pytest.mark.parametrize("length", [16, 31, 48])
     def test_long_word_shapes(self, capsys, length):
         """`pattern 31-4-2` on a word of 16-48 letters over 1..12, counted

@@ -19,11 +19,10 @@ ALL_NAMED_PATTERNS = sorted(
 def reference_count(pattern, word):
     """Reference oracle: a naive backtracker that extends a partial
     occurrence one pattern letter at a time, testing every candidate
-    position against all the letters already picked."""
+    position against all the letters already picked.  It stops wherever
+    fewer host positions remain than pattern letters still to place."""
     letters, glued = pattern.letters, pattern.glued
     r, n = len(letters), len(word)
-    if r > n:
-        return 0
     picked = []
 
     def fits(pos):
@@ -38,10 +37,11 @@ def reference_count(pattern, word):
         depth = len(picked)
         if depth == r:
             return 1
+        stop = n - (r - depth) + 1  # past the last position with room for the rest
         if depth and glued[depth - 1]:
-            candidates = range(picked[-1] + 1, min(picked[-1] + 2, n))
+            candidates = range(picked[-1] + 1, min(picked[-1] + 2, stop))
         else:
-            candidates = range(picked[-1] + 1 if picked else 0, n)
+            candidates = range(picked[-1] + 1 if picked else 0, stop)
         total = 0
         for pos in candidates:
             if fits(pos):
@@ -86,15 +86,15 @@ def brute_count(pattern, word):
 @st.composite
 def many_block_patterns(draw):
     """21-30 blocks of one or two letters, at most 32 letters, each value
-    repeated up to three times, and a host word: the pattern's own letters
-    with up to two letters inserted, so that most draws occur.  (Fewer
-    values would let `reference_count`, which does not prune, run for
-    minutes.)"""
+    repeated up to k times for a drawn k, so that all letters may be equal,
+    and a host word: the pattern's own letters with up to two letters
+    inserted, so that most draws occur."""
     blocks = draw(st.integers(21, 30))
     pairs = draw(st.sets(st.integers(0, blocks - 1), max_size=32 - blocks))
     lengths = [2 if b in pairs else 1 for b in range(blocks)]
     order = draw(st.permutations(range(sum(lengths))))
-    letters = tuple(x // 3 + 1 for x in order)
+    k = draw(st.integers(1, len(order)))
+    letters = tuple(x // k + 1 for x in order)
     glued = []
     for length in lengths:
         glued += [True] * (length - 1) + [False]

@@ -377,6 +377,12 @@ class TestCheck:
         out = capsys.readouterr().out
         assert out.startswith("FAIL thm-1.3") and "input:    123\n" in out
 
+    @pytest.mark.parametrize("column, wrong", [("des", 0), ("maj", 0), ("F", 1)])
+    def test_lemmas_pin_the_columns_they_read(self, monkeypatch, column, wrong):
+        monkeypatch.setitem(words.STATISTICS, column, lambda w: wrong)
+        for name in ("lemma-3.4", "lemma-3.5"):
+            assert not verify.check(name, n=5).passed, name
+
     def test_wrong_pattern_sum_fails_lemma_3_4(self, monkeypatch):
         oracle = patterns.eval_sum
         monkeypatch.setattr(patterns, "eval_sum", lambda name, w: oracle(name, w) + 1)
@@ -499,52 +505,97 @@ class TestInvolutivity:
         ]
 
 
-class TestWindow:
-    @staticmethod
-    def _reports(monkeypatch, fault):
-        """The report of every swap check over S_1..S_5 or the classes of
-        [3]^<=5, with `fault` planted in its map."""
-        reports = {}
+SWAP_SCHEMAS = {
+    "thm-1.1": verify._ADJ_SCHEMA,
+    "thm-1.3": verify._SWAP_SCHEMA,
+    "cor-1.4": verify._SWAP_SCHEMA,
+    "cor-1.5": verify._SEXT_SCHEMA,
+}
+
+
+def naive_swap_judge(map_name, schema):
+    """The swap judge without involution pairs: every word is mapped and
+    profiled, its image profiled under the swapped schema and mapped back,
+    and the first of the five failures is reported."""
+    swapped, fmt = verify._swapped(schema), words.format_word
+
+    def judge(instances):
+        mapper = getattr(involution, map_name)
+        for w in instances:
+            try:
+                image = mapper(w)
+                left, right = verify.profile(w, schema), verify.profile(image, swapped)
+            except Exception as exc:
+                return verify.Counterexample(
+                    fmt(w), "no exception", f"raised {type(exc).__name__}: {exc}"
+                )
+            if left != right:
+                return verify.Counterexample(
+                    fmt(w),
+                    verify._fmt_profile(schema, left),
+                    f"image {fmt(image)}: {verify._fmt_profile(swapped, right)}",
+                )
+            try:
+                back = mapper(image)
+            except Exception as exc:
+                actual = f"raised {type(exc).__name__}: {exc}"
+            else:
+                if back == w:
+                    continue
+                actual = f"= {fmt(back)}"
+            return verify.Counterexample(
+                fmt(w),
+                f"{map_name}({map_name}({fmt(w)})) = {fmt(w)}",
+                f"{map_name}({fmt(image)}) {actual}",
+            )
+        return None
+
+    return judge
+
+
+class TestPairWalk:
+    @pytest.mark.parametrize("fault", [None, *FAULTS])
+    def test_reports_equal_the_naive_judge(self, monkeypatch, fault):
+        """Every swap check over S_1..S_5 or the classes of [3]^<=5, with
+        `fault` planted in its map, reports what the naive judge reports."""
         for name, map_name in SWAP_CHECKS.items():
             with monkeypatch.context() as m:
                 if fault is not None:
                     m.setattr(involution, map_name, FAULTS[fault](map_name))
-                reports[name] = verify.check(name, sweep=True, n=5, alphabet=3).lines()
-        return reports
+                paired = verify.check(name, sweep=True, n=5, alphabet=3).lines()
+                assert paired[0].split()[0] == ("PASS" if fault is None else "FAIL")
+                naive = naive_swap_judge(map_name, SWAP_SCHEMAS[name])
+                m.setitem(verify._CHECKS, name, verify._CHECKS[name]._replace(judge=naive))
+                assert verify.check(name, sweep=True, n=5, alphabet=3).lines() == paired
 
-    @pytest.mark.parametrize("fault", [None, *FAULTS])
-    def test_reports_do_not_depend_on_the_window(self, monkeypatch, fault):
-        default = self._reports(monkeypatch, fault)
-        assert {r[0].split()[0] for r in default.values()} == {"PASS" if fault is None else "FAIL"}
-        for window in (1, 3):
-            monkeypatch.setattr(verify, "_WINDOW", window)
-            assert self._reports(monkeypatch, fault) == default
+    @pytest.mark.parametrize(
+        "name, bounds, domain",
+        [
+            ("thm-1.3", {"n": 6}, list(verify.symmetric_group(6))),
+            (
+                "cor-1.4",
+                {"word": (1, 1, 2, 2, 3, 3)},
+                list(verify.rearrangement_class((1, 1, 2, 2, 3, 3))),
+            ),
+        ],
+        ids=["thm-1.3", "cor-1.4"],
+    )
+    def test_each_word_is_mapped_and_profiled_once(self, monkeypatch, name, bounds, domain):
+        map_name, mapped, profiled = SWAP_CHECKS[name], Counter(), Counter()
+        real_map, real_profile = getattr(involution, map_name), verify.profile
 
-    def test_no_chunk_holds_more_than_the_window(self, monkeypatch):
-        """When a word is first mapped, at most `_WINDOW` words of its chunk
-        past the words before it have been drawn."""
-        monkeypatch.setattr(verify, "_WINDOW", 3)
-        real_permutations, drawn = verify._permutations, []
+        def counted_map(w):
+            mapped[tuple(w)] += 1
+            return real_map(w)
 
-        def counted(rest):
-            drawn.append(0)
-            for tail in real_permutations(rest):
-                drawn[-1] += 1
-                yield tail
+        def counted_profile(w, schema):
+            profiled[tuple(w)] += 1
+            return real_profile(w, schema)
 
-        first_seen, real_phi = {}, involution.phi
-
-        def phi(p):
-            first_seen.setdefault(tuple(p), drawn[-1])
-            return real_phi(p)
-
-        monkeypatch.setattr(verify, "_permutations", counted)
-        monkeypatch.setattr(involution, "phi", phi)
-        assert verify.check("thm-1.3", n=5).passed
-        assert len(first_seen) == 120
-        for p, count in first_seen.items():
-            chunk = sorted(q for q in verify.symmetric_group(5) if q[0] == p[0])
-            assert count <= chunk.index(p) + 3, p
+        monkeypatch.setattr(involution, map_name, counted_map)
+        monkeypatch.setattr(verify, "profile", counted_profile)
+        assert verify.check(name, **bounds).passed
+        assert mapped == profiled == Counter(domain)
 
 
 class TestRunAll:
