@@ -79,15 +79,31 @@ def cmd_map(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_cap_flag(cap: int) -> None:
+    if cap < 1:
+        raise ValueError("--cap must be positive")
+
+
+def _refuse_over_cap(subject: str, size: int, noun: str, cap: int) -> None:
+    """Refuse `size` items over the cap, writing the count only when it has
+    at most 20 digits."""
+    if size <= cap:
+        return
+    if size < 10**20:
+        raise BoundTooLargeError(f"{subject} has {size} {noun}, more than the cap {cap}")
+    raise BoundTooLargeError(f"{subject} has more {noun} than the cap {cap}")
+
+
 def cmd_pattern(args: argparse.Namespace) -> int:
+    _check_cap_flag(args.cap)
     pat = patterns.parse_pattern(args.pattern)
     w = words.parse_word(args.word)
-    size = math.comb(len(w), len(pat.letters))
-    if size > args.cap:
-        raise BoundTooLargeError(
-            f"a {len(pat.letters)}-letter pattern in {len(w)} letters has {size}"
-            f" index tuples, more than the cap {args.cap}"
-        )
+    _refuse_over_cap(
+        f"a {len(pat.letters)}-letter pattern in {len(w)} letters",
+        math.comb(len(w), len(pat.letters)),
+        "index tuples",
+        args.cap,
+    )
     print(patterns.count_occurrences(pat, w))
     return 0
 
@@ -105,13 +121,10 @@ def cmd_rsk(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    _check_cap_flag(args.cap)
     letters = words.parse_word(args.multiset)
     schema = _parse_schema(args.schema)
-    size = verify.multinomial(letters)
-    if size > args.cap:
-        raise BoundTooLargeError(
-            f"rearrangement class has {size} elements, more than the cap {args.cap}"
-        )
+    _refuse_over_cap("rearrangement class", verify.multinomial(letters), "elements", args.cap)
     headings, rows = _rows(verify.rearrangement_class(letters), schema)
     if args.format == "json":
         print(json.dumps([_json_row(v, headings, values) for v, values in rows], default=sorted))

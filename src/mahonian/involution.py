@@ -15,15 +15,30 @@ to the standardized top and to the bottom, and reflect the shuffle set.
 the first letter while swapping MAJ and STAT.  `burstein_p` applies
 reverse-complement and fixes Adj instead of the inverse descent set.  Both
 transfer to a rearrangement class of words by coding, acting, and decoding.
+
+A sweep meets the same few standardized subwords many times (the
+permutations of size at most 7 have 874 of them), so `phi` switches them
+through `_switch`, which keeps the switched forms of up to 1,024 subwords.
+The public `foata_j` stays uncached, so lemma-3.1 checks the kernel from
+scratch and never reads what `phi` stored.  The memo keys by value, where
+1 == 1.0 == True, which is why `decompose` admits only int letters.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from . import tableaux
 from .errors import EmptyInputError, InvalidTripleError
-from .tableaux import _foata_j, foata_j  # foata_j stays importable from here
+from .tableaux import foata_j  # foata_j stays importable from here
 from .words import Word, check_permutation, code, decode, shuffle_set
+
+
+# 1,024 entries hold all 874 subwords of permutations of size <= 7.  A
+# bigger memo helps little at n = 9 but holds more long subwords: fresh
+# 16-48-letter ones cost about 0.4 MB at this size and 4 MB at 8,192.
+_switch = functools.lru_cache(maxsize=1024)(tableaux._foata_j)
 
 
 @dataclass(frozen=True)
@@ -135,7 +150,7 @@ def phi(p: Sequence[int]) -> Word:
     >>> phi((5, 4, 6, 7, 3, 1, 9, 8, 2))
     (5, 1, 9, 6, 4, 3, 7, 8, 2)
     """
-    return _triple_map(p, _foata_j)
+    return _triple_map(p, _switch)
 
 
 def burstein_p(p: Sequence[int]) -> Word:

@@ -34,8 +34,13 @@ _SEPARATOR_RE = re.compile(r"[,\s]+")
 
 
 def is_permutation(w: Sequence[int]) -> bool:
-    """True when the letters of `w` are exactly 1..n, each once."""
-    return sorted(w) == list(range(1, len(w) + 1))
+    """True when the letters of `w` are exactly the ints 1..n, each once.
+
+    A float or bool letter is refused even when it equals an int:
+    `involution.phi` memoizes by value, and 1 == 1.0 == True would let an
+    image computed for one type answer for another.
+    """
+    return sorted(w) == list(range(1, len(w) + 1)) and {int}.issuperset(map(type, w))
 
 
 def check_permutation(w: Sequence[int]) -> None:

@@ -366,6 +366,22 @@ class TestThinWrapper:
             "error: --word restricts only cor-1.4, cor-1.5 and prop-2.4, not eq-2\n",
         ),
         (["stats", "\u00b21"], "error: not a word: '\u00b21'\n"),
+        (
+            ["pattern", "-".join(["1"] * 300), "1" * 1200],
+            "error: a 300-letter pattern in 1200 letters has more index tuples"
+            " than the cap 10000000\n",
+        ),
+        (
+            ["pattern", "1" * 10_000, "1" * 20_000],
+            "error: a 10000-letter pattern in 20000 letters has more index tuples"
+            " than the cap 10000000\n",
+        ),
+        (
+            ["table", ",".join(map(str, range(1, 26)))],
+            "error: rearrangement class has more elements than the cap 10000000\n",
+        ),
+        (["pattern", "21", "123", "--cap", "-5"], "error: --cap must be positive\n"),
+        (["table", "1122", "--cap", "0"], "error: --cap must be positive\n"),
     ],
 )
 def test_refusals_print_one_error_line_and_exit_2(capsys, argv, err):

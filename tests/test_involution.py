@@ -1,10 +1,11 @@
 """The triple decomposition and the MAJ/STAT-swapping involutions."""
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from mahonian import words
+from mahonian import involution, tableaux, verify, words
 from mahonian.errors import EmptyInputError, InvalidTripleError
 from mahonian.involution import (
     ShuffleTriple,
@@ -242,3 +243,67 @@ class TestPhiOnClass:
     def test_quintuple_swap_random(self, v):
         des, idset, first, maj, stat = quintuple(v)
         assert quintuple(phi_on_class(v)) == (des, idset, first, stat, maj)
+
+
+def uncached_phi(p):
+    return involution._triple_map(p, tableaux._foata_j)
+
+
+class TestSwitchMemo:
+    """`phi` switches its standardized subwords through the bounded `_switch`."""
+
+    def assert_phi_uncached_on_small_groups(self):
+        for n in range(8):
+            for p in symmetric_group(n):
+                if not p:
+                    with pytest.raises(EmptyInputError):
+                        phi(p)
+                    continue
+                assert phi(p) == uncached_phi(p), p
+
+    def test_equals_uncached_before_and_after_eviction(self):
+        self.assert_phi_uncached_on_small_groups()
+        rng = random.Random(20261018)
+        for _ in range(600):
+            p = tuple(rng.sample(range(1, 13), 12))
+            assert phi(p) == uncached_phi(p), p
+        info = involution._switch.cache_info()
+        assert info.misses > info.maxsize == info.currsize
+        self.assert_phi_uncached_on_small_groups()
+
+    @given(st.integers(1, 60).flatmap(lambda n: st.permutations(range(1, n + 1))).map(tuple))
+    def test_equals_uncached_random(self, p):
+        assert phi(p) == uncached_phi(p)
+
+    def test_bound(self):
+        assert involution._switch.cache_info().maxsize == 1024
+
+    def test_foata_j_check_never_reads_the_memo(self):
+        phi((3, 1, 2, 4, 5))
+        before = involution._switch.cache_info()
+        assert verify.check("lemma-3.1", n=6).passed
+        after = involution._switch.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_equal_letters_of_another_type_are_refused(self):
+        for p in [(3.0, 1.0, 2.0, 4.0, 5.0), (True,)]:
+            with pytest.raises(ValueError):
+                phi(p)
+        image = phi((3, 1, 2, 4, 5))
+        assert image == (3, 4, 5, 1, 2) and all(type(x) is int for x in image)
+
+    def test_each_subword_is_switched_once(self, monkeypatch):
+        """All 874 standardized subwords of S_7 (sizes 0..6) fit the memo,
+        which starts empty (conftest), so thm-1.3 at n = 7 inserts each at
+        most twice; without the memo it inserts twice per subword of each of
+        the 7! permutations."""
+        calls = []
+        real = tableaux._insert
+
+        def counted(p):
+            calls.append(1)
+            return real(p)
+
+        monkeypatch.setattr(tableaux, "_insert", counted)
+        assert verify.check("thm-1.3", n=7).passed
+        assert 0 < len(calls) <= 2 * 874
