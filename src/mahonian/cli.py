@@ -17,7 +17,7 @@ import sys
 from typing import Sequence
 
 from . import involution, patterns, tableaux, verify, words
-from .errors import BoundTooLargeError
+from .errors import refuse_over_cap
 
 # Table column order: Adj, des, ides, F, IMAJ, MAJ, STAT.
 DEFAULT_SCHEMA = ("adj", "des", "ides", "F", "imaj", "maj", "stat")
@@ -84,22 +84,12 @@ def _check_cap_flag(cap: int) -> None:
         raise ValueError("--cap must be positive")
 
 
-def _refuse_over_cap(subject: str, size: int, noun: str, cap: int) -> None:
-    """Refuse `size` items over the cap, writing the count only when it has
-    at most 20 digits."""
-    if size <= cap:
-        return
-    if size < 10**20:
-        raise BoundTooLargeError(f"{subject} has {size} {noun}, more than the cap {cap}")
-    raise BoundTooLargeError(f"{subject} has more {noun} than the cap {cap}")
-
-
 def cmd_pattern(args: argparse.Namespace) -> int:
     _check_cap_flag(args.cap)
     pat = patterns.parse_pattern(args.pattern)
     w = words.parse_word(args.word)
-    _refuse_over_cap(
-        f"a {len(pat.letters)}-letter pattern in {len(w)} letters",
+    refuse_over_cap(
+        f"a {len(pat.letters)}-letter pattern in {len(w)} letters has",
         math.comb(len(w), len(pat.letters)),
         "index tuples",
         args.cap,
@@ -124,7 +114,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     _check_cap_flag(args.cap)
     letters = words.parse_word(args.multiset)
     schema = _parse_schema(args.schema)
-    _refuse_over_cap("rearrangement class", verify.multinomial(letters), "elements", args.cap)
+    refuse_over_cap("rearrangement class has", verify.multinomial(letters), "elements", args.cap)
     headings, rows = _rows(verify.rearrangement_class(letters), schema)
     if args.format == "json":
         print(json.dumps([_json_row(v, headings, values) for v, values in rows], default=sorted))

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one cap refusal."""
 
 
 class EmptyInputError(ValueError):
@@ -30,11 +30,27 @@ class NotStandardError(ValueError):
 
 
 class InvalidTripleError(ValueError):
-    """A top/bottom/shuffle triple cannot be recomposed into a permutation."""
+    """A top/bottom/shuffle triple, or a map's images of its subwords, describes
+    no permutation."""
 
 
 class BoundTooLargeError(ValueError):
     """An exhaustive domain would exceed the configured instance cap."""
+
+
+# A refusal writes its count only below this: a longer count tells a reader
+# nothing more, and past 4,300 digits `str` refuses to write it at all.
+WRITTEN_COUNT_LIMIT = 10**20
+
+
+def refuse_over_cap(subject: str, size: int, noun: str, cap: int) -> None:
+    """Raise BoundTooLargeError when `size` exceeds `cap`.  `subject` ends in
+    its verb, as in "rearrangement class has"."""
+    if size <= cap:
+        return
+    if size < WRITTEN_COUNT_LIMIT:
+        raise BoundTooLargeError(f"{subject} {size} {noun}, more than the cap {cap}")
+    raise BoundTooLargeError(f"{subject} more {noun} than the cap {cap}")
 
 
 class InternalInvariantError(RuntimeError):

@@ -16,12 +16,16 @@ the first letter while swapping MAJ and STAT.  `burstein_p` applies
 reverse-complement and fixes Adj instead of the inverse descent set.  Both
 transfer to a rearrangement class of words by coding, acting, and decoding.
 
+`decompose`, `transform_shuffle` and `recompose` state that definition and
+are the reference the maps are tested against; the maps themselves act on
+the permutation directly (`_triple_map`) and build no triple.
+
 A sweep meets the same few standardized subwords many times (the
 permutations of size at most 7 have 874 of them), so `phi` switches them
 through `_switch`, which keeps the switched forms of up to 1,024 subwords.
 The public `foata_j` stays uncached, so lemma-3.1 checks the kernel from
 scratch and never reads what `phi` stored.  The memo keys by value, where
-1 == 1.0 == True, which is why `decompose` admits only int letters.
+1 == 1.0 == True, which is why the maps admit only int letters.
 """
 from __future__ import annotations
 
@@ -126,22 +130,24 @@ def transform_shuffle(shuffle: Iterable[int], n: int) -> frozenset[int]:
 
 
 def _triple_map(p: Sequence[int], g: Callable[[Word], Word]) -> Word:
-    """Apply the involution `g` to both subwords and reflect the shuffle set.
+    """Apply `g` to both subwords and reflect the shuffle set, on `p` itself.
 
-    The top's letters are exactly threshold+1..n, so shifting the top down
-    by the threshold standardizes it for `g`, and shifting back restores it.
-    `decompose` checks that `p` is a permutation, so `g` gets permutations
-    and need not check them again.
+    Position i is high when p_i >= t = p_1.  The reflected shuffle set
+    reverses the high/low pattern of positions 2..n, so the image is t and
+    then, for each x of p[:0:-1], the next letter of g(top - t) plus t if x
+    is high, else the next letter of g(bottom).  Both images are checked
+    before any filling, as `recompose` checks a triple.
     """
-    triple = decompose(p)
-    t = triple.threshold
-    return recompose(
-        ShuffleTriple(
-            top=tuple(x + t for x in g(tuple(x - t for x in triple.top))),
-            bottom=g(triple.bottom),
-            shuffle=transform_shuffle(triple.shuffle, triple.size),
-        )
-    )
+    check_permutation(p)
+    if not p:
+        raise EmptyInputError("cannot act on an empty permutation")
+    t = p[0]
+    top = g(tuple(x - t for x in p if x > t))
+    bottom = g(tuple(x for x in p if x < t))
+    if sorted(top) != list(range(1, len(p) - t + 1)) or sorted(bottom) != list(range(1, t)):
+        raise InvalidTripleError("subword images must be permutations of their letters")
+    highs, lows = iter(top), iter(bottom)
+    return (t, *[next(highs) + t if x > t else next(lows) for x in p[:0:-1]])
 
 
 def phi(p: Sequence[int]) -> Word:

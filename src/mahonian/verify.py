@@ -27,12 +27,17 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import combinations_with_replacement, groupby, product
+from itertools import combinations_with_replacement, count, groupby, islice, product
 from itertools import permutations as _permutations
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import involution, patterns, words
-from .errors import BoundTooLargeError, InternalInvariantError, UnknownNameError
+from .errors import (
+    WRITTEN_COUNT_LIMIT,
+    InternalInvariantError,
+    UnknownNameError,
+    refuse_over_cap,
+)
 from .tableaux import foata_j
 # The statistic table lives in `words`; `verify.STATISTICS` is the same dict.
 from .words import HEADINGS, STATISTICS, Word, statistic
@@ -564,29 +569,66 @@ def _class_args(bounds: CheckBounds, by_size: bool) -> Iterator[tuple[Word, ...]
         yield from ((letters,) for letters in classes)
 
 
+def _sum_past(terms: Iterable[int], limit: int) -> int:
+    """The sum of `terms` if it is at most `limit`; else a partial sum past it."""
+    total = 0
+    for term in terms:
+        total += term
+        if total > limit:
+            break
+    return total
+
+
+def _factorials(n: int, limit: int) -> Iterator[int]:
+    """1!, 2!, ..., n!, ending early after the first one past `limit`."""
+    value = 1
+    for k in range(1, n + 1):
+        value *= k
+        yield value
+        if value > limit:
+            return
+
+
+def _power_sums(m: int) -> Iterator[int]:
+    """1^k + 2^k + ... + m^k for k = 1, 2, ..., each from the ones before by
+    (m+1)^(k+1) - 1 = sum of C(k+1, j) * (1^j + ... + m^j) over j <= k."""
+    sums = [m]
+    for k in count(1):
+        rest = sum(math.comb(k + 1, j) * s for j, s in enumerate(sums))
+        sums.append(((m + 1) ** (k + 1) - 1 - rest) // (k + 1))
+        yield sums[-1]
+
+
 def _build(name: str, bounds: CheckBounds, sweep: bool):
     """(domain description, chunk arguments) of one check.  The instance
-    count is compared with the cap in closed form, and the arguments of a
-    class sweep are generated lazily, so an oversized check raises
-    BoundTooLargeError before anything is enumerated."""
+    count is compared with the cap in closed form, and summed only until it
+    is past both the cap and the largest count a refusal writes.  Chunk
+    arguments are generated lazily, so an oversized check raises
+    BoundTooLargeError before anything is enumerated or allocated."""
     try:
         chunk = _CHECKS[name].chunk
     except KeyError:
         raise UnknownNameError(f"unknown check {name!r}; known: {', '.join(CHECK_IDS)}") from None
     by_size = chunk is _classes_of_one_size
+    n, m = bounds.n, bounds.alphabet
+    limit = max(bounds.cap, WRITTEN_COUNT_LIMIT - 1)
     if chunk is _perm_chunk:
-        sizes = list(range(1, bounds.n + 1)) if sweep else [bounds.n]
-        domain = f"S_{sizes[0]}" if len(sizes) == 1 else f"S_1..S_{sizes[-1]}"
-        work = sum(math.factorial(n) for n in sizes)
-        args = [(n, first) for n in sizes for first in range(1, n + 1)]
+        sizes = range(1, n + 1) if sweep else range(n, n + 1)
+        domain = f"S_{n}" if len(sizes) == 1 else f"S_1..S_{n}"
+        if sweep:
+            work = _sum_past(_factorials(n, limit), limit)
+        else:
+            *_, work = _factorials(n, limit)
+        args = ((k, first) for k in sizes for first in range(1, k + 1))
     elif chunk is _cube_chunk or chunk is _whole_cube:
-        grid = [(m, n) for n in range(1, bounds.n + 1) for m in range(1, bounds.alphabet + 1)]
+        grid = ((a, k) for k in range(1, n + 1) for a in range(1, m + 1))
         if chunk is _cube_chunk:
-            args = [(m, n, first) for m, n in grid for first in range(1, m + 1)]
+            args = ((a, k, first) for a, k in grid for first in range(1, a + 1))
         else:
             args = grid
-        domain = f"[m]^n, m<={bounds.alphabet}, n<={bounds.n}"
-        work = sum(m**n for m, n in grid)
+        domain = f"[m]^n, m<={m}, n<={n}"
+        # sum of a^k over the grid; with one letter, each cube has one word
+        work = n if m == 1 else _sum_past(islice(_power_sums(m), n), limit)
     # Class checks: each word of a class is one instance.  prop-2.4 codes the
     # words of every class and groups S_k once per size k, one task per size.
     elif bounds.word is not None:
@@ -595,14 +637,13 @@ def _build(name: str, bounds: CheckBounds, sweep: bool):
         work = multinomial(letters) + (math.factorial(len(letters)) if by_size else 0)
         args = [(letters,)]
     else:
-        m = bounds.alphabet
-        domain = f"classes with n<={bounds.n}, letters<={bounds.alphabet}"
-        work = sum(m**k + (math.factorial(k) if by_size else 0) for k in range(1, bounds.n + 1))
+        domain = f"classes with n<={n}, letters<={m}"
+        # the classes of size k hold m^k words
+        work = n if m == 1 else _sum_past((m**k for k in range(1, n + 1)), limit)
+        if by_size:
+            work += _sum_past(_factorials(n, limit), limit)
         args = _class_args(bounds, by_size)
-    if work > bounds.cap:
-        raise BoundTooLargeError(
-            f"{name} over {domain} needs {work} instances, more than the cap {bounds.cap}"
-        )
+    refuse_over_cap(f"{name} over {domain} needs", work, "instances", bounds.cap)
     return domain, args
 
 

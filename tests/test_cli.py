@@ -382,6 +382,24 @@ class TestThinWrapper:
         ),
         (["pattern", "21", "123", "--cap", "-5"], "error: --cap must be positive\n"),
         (["table", "1122", "--cap", "0"], "error: --cap must be positive\n"),
+        (
+            ["verify", "thm-1.3", "--n", "20000"],
+            "error: thm-1.3 over S_20000 needs more instances than the cap 10000000\n",
+        ),
+        (
+            ["verify", "eq-2", "--n", "2000", "--alphabet", "100"],
+            "error: eq-2 over [m]^n, m<=100, n<=2000 needs more instances"
+            " than the cap 10000000\n",
+        ),
+        (
+            ["verify", "eq-2", "--n", "30", "--alphabet", "3000"],
+            "error: eq-2 over [m]^n, m<=3000, n<=30 needs more instances"
+            " than the cap 10000000\n",
+        ),
+        (
+            ["verify", "all", "--n", "20000"],
+            "error: thm-1.1 over S_1..S_20000 needs more instances than the cap 10000000\n",
+        ),
     ],
 )
 def test_refusals_print_one_error_line_and_exit_2(capsys, argv, err):

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from mahonian import involution, tableaux, verify, words
+from mahonian import cli, involution, tableaux, verify, words
 from mahonian.errors import EmptyInputError, InvalidTripleError
 from mahonian.involution import (
     ShuffleTriple,
@@ -307,3 +307,50 @@ class TestSwitchMemo:
         monkeypatch.setattr(tableaux, "_insert", counted)
         assert verify.check("thm-1.3", n=7).passed
         assert 0 < len(calls) <= 2 * 874
+
+
+long_perms = st.integers(1, 60).flatmap(lambda n: st.permutations(range(1, n + 1))).map(tuple)
+
+
+@pytest.mark.parametrize(
+    "mapper, g", [(phi, foata_j), (burstein_p, words.reverse_complement)]
+)
+@given(p=long_perms)
+def test_maps_equal_the_reference_triple_composition_random(mapper, g, p):
+    assert mapper(p) == reference_triple_map(p, g)
+
+
+class TestDirectAction:
+    """`phi` and `burstein_p` act on the permutation without building its triple."""
+
+    @pytest.mark.parametrize(
+        "planted",
+        [
+            lambda w: tuple(x + 1 for x in w),  # letters out of range
+            lambda w: w[:1] * len(w),  # a letter repeated
+            lambda w: w[:-1],  # one letter short
+            lambda w: w + (len(w) + 1,),  # one letter long
+        ],
+    )
+    def test_a_wrong_switch_fails_closed(self, monkeypatch, capsys, planted):
+        monkeypatch.setattr(involution, "_switch", planted)
+        with pytest.raises(InvalidTripleError):
+            phi((1, 2, 3, 4))
+        assert cli.main(["verify", "thm-1.3", "--n", "4"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["FAIL thm-1.3 (S_4): 24 instances", "    input:    1234"]
+        assert lines[3].startswith("    actual:   raised InvalidTripleError")
+
+    @pytest.mark.parametrize("name", ["thm-1.1", "thm-1.3"])
+    def test_no_triple_is_built(self, monkeypatch, name):
+        calls = Counter()
+        for fn in ("decompose", "recompose"):
+            real = getattr(involution, fn)
+
+            def counted(*args, fn=fn, real=real):
+                calls[fn] += 1
+                return real(*args)
+
+            monkeypatch.setattr(involution, fn, counted)
+        assert verify.check(name, n=7).passed
+        assert calls == Counter()

@@ -1,4 +1,5 @@
 """Enumeration, joint distributions, and the named check registry."""
+import math
 from collections import Counter
 
 import pytest
@@ -170,6 +171,24 @@ class TestCheck:
             verify.check("prop-2.4", n=3, alphabet=2, cap=1)
         with pytest.raises(BoundTooLargeError, match="needs 14 instances"):
             verify.check("cor-1.4", n=3, alphabet=2, cap=1)
+
+    @pytest.mark.parametrize("alphabet", [1, 2, 5])
+    def test_cap_counts_every_domain_exactly(self, alphabet):
+        n = 5
+        perms = sum(math.factorial(k) for k in range(1, n + 1))
+        class_words = sum(alphabet**k for k in range(1, n + 1))
+        cubes = sum(a**k for k in range(1, n + 1) for a in range(1, alphabet + 1))
+        for name, sweep, count in [
+            ("thm-1.3", False, math.factorial(n)),
+            ("lemma-3.1", True, perms),
+            ("thm-1.2", False, cubes),
+            ("eq-2", False, cubes),
+            ("cor-1.5", False, class_words),
+            ("prop-2.4", False, class_words + perms),
+        ]:
+            with pytest.raises(BoundTooLargeError, match=f"needs {count} instances"):
+                verify.check(name, sweep=sweep, n=n, alphabet=alphabet, cap=count - 1)
+            assert verify._build(name, verify.CheckBounds(n, alphabet, cap=count), sweep)
 
     @pytest.mark.parametrize("cpus, workers", [(8, [4]), (None, [])])
     def test_jobs_clamped(self, monkeypatch, cpus, workers):
