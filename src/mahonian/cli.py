@@ -17,7 +17,7 @@ import sys
 from typing import Sequence
 
 from . import involution, patterns, tableaux, verify, words
-from .errors import refuse_over_cap
+from .errors import EmptyInputError, refuse_over_cap
 
 # Table column order: Adj, des, ides, F, IMAJ, MAJ, STAT.
 DEFAULT_SCHEMA = ("adj", "des", "ides", "F", "imaj", "maj", "stat")
@@ -32,6 +32,8 @@ def _parse_schema(text: str | None) -> list[str]:
     if text is None:
         return list(DEFAULT_SCHEMA)
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not tokens:
+        raise EmptyInputError("--schema names no statistic")
     resolved = [_SCHEMA_ALIASES.get(tok, tok) for tok in tokens]
     for tok in resolved:
         words.statistic(tok)  # raises UnknownNameError on a bad token

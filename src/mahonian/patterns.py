@@ -22,6 +22,7 @@ scan of every index tuple.
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -94,35 +95,29 @@ def count_occurrences(pattern: VincularPattern, word: Sequence[int]) -> int:
     >>> count_occurrences(parse_pattern("31-4-2"), (4, 1, 2, 5, 3))
     1
     """
-    return _counter(pattern)(word)
+    return _counter(pattern.letters, pattern.glued)(word)
 
-
-# Generated counters by pattern (its letters and adjacency flags), oldest
-# first.  Like `re`'s cache it is bounded, and it lets every parse of the same
-# pattern text, one per CLI call, reuse the code generated for it.
-_COUNTERS: dict[tuple, Callable[[Sequence[int]], int]] = {}
-_MAX_COUNTERS = 64
 
 # The most blocks a counter is generated for.  Each block is one nested call,
 # so a deeper pattern would exhaust Python's recursion limit (1,000 frames).
 _MAX_BLOCKS = 500
 
 
-def _counter(pattern: VincularPattern) -> Callable[[Sequence[int]], int]:
-    key = (pattern.letters, pattern.glued)
-    counter = _COUNTERS.get(key)
-    if counter is None:
-        blocks = len(pattern.blocks)
-        if blocks > _MAX_BLOCKS:
-            raise BoundTooLargeError(
-                f"a {blocks}-block pattern has more blocks than the limit {_MAX_BLOCKS}"
-            )
-        if len(_COUNTERS) >= _MAX_COUNTERS:
-            _COUNTERS.pop(next(iter(_COUNTERS)), None)
-        namespace: dict = {}
-        exec(compile(_source(pattern), "<vincular pattern>", "exec"), namespace)
-        counter = _COUNTERS[key] = namespace["b0"]
-    return counter
+# Generated counters are cached by pattern letters and adjacency flags, plain
+# tuples that hash faster than the pattern.  Like `re`'s cache it is bounded,
+# and it lets every parse of the same pattern text, one per CLI call, reuse
+# the code generated for it.
+@functools.lru_cache(maxsize=64)
+def _counter(letters: tuple[int, ...], glued: tuple[bool, ...]) -> Callable[[Sequence[int]], int]:
+    pattern = VincularPattern(letters, glued)
+    blocks = len(pattern.blocks)
+    if blocks > _MAX_BLOCKS:
+        raise BoundTooLargeError(
+            f"a {blocks}-block pattern has more blocks than the limit {_MAX_BLOCKS}"
+        )
+    namespace: dict = {}
+    exec(compile(_source(pattern), "<vincular pattern>", "exec"), namespace)
+    return namespace["b0"]
 
 
 def _comparison(letters: tuple[int, ...], i: int) -> str:
@@ -199,16 +194,13 @@ _SUM_SPECS: dict[str, tuple[str, ...]] = {
 
 NAMED_SUMS: tuple[str, ...] = tuple(_SUM_SPECS)
 
-_CACHE: dict[str, PatternSum] = {}
 
-
+@functools.cache
 def named_sum(name: str) -> PatternSum:
     """Look up one of the built-in pattern sums by its exact name."""
     if name not in _SUM_SPECS:
         raise UnknownNameError(f"unknown pattern sum {name!r}; known: {', '.join(NAMED_SUMS)}")
-    if name not in _CACHE:
-        _CACHE[name] = PatternSum(tuple(parse_pattern(t) for t in _SUM_SPECS[name]))
-    return _CACHE[name]
+    return PatternSum(tuple(parse_pattern(t) for t in _SUM_SPECS[name]))
 
 
 def eval_sum(patterns: PatternSum | str, word: Sequence[int]) -> int:

@@ -10,14 +10,18 @@ pointwise swap by a bijection gives the equidistribution, and any failure
 is localized to one word.
 
 Each check scans its domain in lexicographic order and reports the instance
-count plus the first counterexample, if any.  Domains are partitioned into
-lexicographically contiguous chunks, and a check judges a whole chunk at a
-time.  The involutions fix the first letter and the class, so every image
-lies in its word's chunk: a swap check walks the chunk by involution pairs,
-maps and profiles each word once, and holds only the images it has vouched
-for until the walk reaches them.  A run sends the chunks of all its checks,
-in check order, to one executor, serial or a single process pool, so every
-report is identical either way.
+count, from the closed forms that the cap is held to, plus the first
+counterexample, if any.  Domains are partitioned into lexicographically
+contiguous chunks: first-letter slices of S_n and of each cube [a]^k with
+k >= 2, the whole of [a]^1, single classes, and for prop-2.4 the multisets
+of one size.  A task is one check judging one whole chunk.  The involutions
+fix the first letter and the class, so every image lies in its word's
+chunk: a swap check walks the chunk by involution pairs, maps and profiles
+each word once, and holds only the images it has vouched for until the walk
+reaches them.  thm-1.2's sextuple includes F, so it holds on a cube exactly
+when it holds on each slice, and it is judged per slice.  A run sends the
+chunks of all its checks, in check order, to one executor, serial or a
+single process pool, so every report is identical either way.
 """
 from __future__ import annotations
 
@@ -233,9 +237,9 @@ def _mismatch(w, role, image, left_schema, left, right_schema, right) -> Counter
     )
 
 
-def _raised(x, exc: Exception) -> Counterexample:
+def _raised(shown: str, exc: Exception) -> Counterexample:
     return Counterexample(
-        input=words.format_word(x) if type(x) is tuple else str(x),
+        input=shown,
         expected="no exception",
         actual=f"raised {type(exc).__name__}: {exc}",
     )
@@ -248,7 +252,7 @@ def _first_failure(predicate, instances: Iterable) -> Counterexample | None:
         try:
             found = predicate(x)
         except Exception as exc:  # a map that raises on an instance fails there
-            found = _raised(x, exc)
+            found = _raised(words.format_word(x), exc)
         if found is not None:
             return found
     return None
@@ -362,18 +366,20 @@ def _pred_maj_pair_sum(p):
     return _maj_sum(p, "MAJ(image)", statistic("maj")(involution.phi(p)))
 
 
-class _Cube(NamedTuple):
-    """The whole word cube [m]^n, judged as one instance by thm-1.2."""
-
-    m: int
-    n: int
-
-    def __str__(self) -> str:
-        return f"[{self.m}]^{self.n}"
-
-
-def _pred_cube_swap(cube: _Cube):
-    left = joint_distribution(word_cube(*cube), _CUBE_SCHEMA)
+def _cube_slice_swap(instances: Iterable[Word]) -> Counterexample | None:
+    """Judge of thm-1.2 on one chunk of a cube [a]^k: the sextuple's
+    distribution must equal itself with MAJ and STAT exchanged.  The chunk's
+    last word, (f, a, ..., a) or (a,), names the cube."""
+    extractors = [statistic(name) for name in _CUBE_SCHEMA]
+    left, raised = Counter(), None
+    for w in instances:
+        try:
+            left[tuple(f(w) for f in extractors)] += 1
+        except Exception as exc:  # the cube fails; read on to its last word to name it
+            raised = raised or exc
+    cube = f"[{max(w)}]^{len(w)}"
+    if raised is not None:
+        return _raised(cube, raised)
     # The swapped distribution re-indexes the columns of the same one.  Counts
     # are summed, since a schema that repeats a column maps several tuples
     # onto one key.
@@ -385,29 +391,18 @@ def _pred_cube_swap(cube: _Cube):
         return None
     bad = min(t for t in set(left) | set(right) if left[t] != right[t])
     return Counterexample(
-        input=str(cube),
+        input=cube,
         expected=f"multiplicity of {bad} in the (.., MAJ, STAT) distribution = {left[bad]}",
         actual=f"multiplicity in the (.., STAT, MAJ) distribution = {right[bad]}",
     )
 
 
-class _Class(NamedTuple):
-    """One multiset of prop-2.4, with the counts of S_k by inverse descent set
-    that every class of its size k shares, grouped on first use."""
-
-    letters: Word
-    id_counts: Callable[[], Counter]
-
-    def __str__(self) -> str:
-        return words.format_word(self.letters)
-
-
-def _pred_characterizations(c: _Class):
+def _pred_characterizations(wbar: Word, id_counts: Callable[[int], Counter]):
     """Both characterizations agree, shown from counts: the coded words are
     multinomial many permutations of S_k with Id inside the boundaries, and
-    so many permutations of S_k have Id inside them.  Only a class that
-    disagrees builds both sets, to name the stray permutation."""
-    wbar = c.letters
+    so many permutations of S_k have Id inside them, read off `id_counts(k)`,
+    the counts of S_k by inverse descent set.  Only a class that disagrees
+    builds both sets, to name the stray permutation."""
     k, bounds = len(wbar), words.block_boundaries(wbar)
     coded = {words.code(v) for v in rearrangement_class(wbar)}
     want = multinomial(wbar)
@@ -417,7 +412,7 @@ def _pred_characterizations(c: _Class):
             len(p) == k and words.is_permutation(p) and words.inverse_descent_set(p) <= bounds
             for p in coded
         )
-        and sum(count for ids, count in c.id_counts().items() if ids <= bounds) == want
+        and sum(count for ids, count in id_counts(k).items() if ids <= bounds) == want
     ):
         return None
     coded, by_id = _characterizations(wbar)
@@ -438,40 +433,36 @@ def _pred_characterizations(c: _Class):
     return None
 
 
+def _judge_characterizations(classes: Iterable[Word]) -> Counterexample | None:
+    """Judge of prop-2.4, grouping S_k by inverse descent set once per size k."""
+    counts = functools.cache(lambda k: Counter(map(words.inverse_descent_set, symmetric_group(k))))
+    return _first_failure(lambda wbar: _pred_characterizations(wbar, counts), classes)
+
+
 # ------------------------------------------------------------------ chunks
 
 # A chunk function takes the picklable arguments of one lexicographically
-# contiguous piece of a domain and returns (chunk size, instances).
+# contiguous piece of a domain and returns its instances.
 
 
 def _perm_chunk(n: int, first: int):
     rest = [v for v in range(1, n + 1) if v != first]
-    return math.factorial(n - 1), ((first, *tail) for tail in _permutations(rest))
+    return ((first, *tail) for tail in _permutations(rest))
 
 
-def _cube_chunk(m: int, n: int, first: int):
-    return m ** (n - 1), ((first, *tail) for tail in product(range(1, m + 1), repeat=n - 1))
+def _cube_chunk(m: int, n: int, *head: int):
+    """The words of [m]^n that begin with `head`."""
+    return (head + tail for tail in product(range(1, m + 1), repeat=n - len(head)))
 
 
-def _whole_cube(m: int, n: int):
-    return m**n, [_Cube(m, n)]
-
-
-def _class_chunk(letters: Word):
-    return multinomial(letters), rearrangement_class(letters)
-
-
-def _classes_of_one_size(*classes: Word):
-    k = len(classes[0])
-    id_counts = functools.cache(
-        lambda: Counter(words.inverse_descent_set(p) for p in symmetric_group(k))
-    )
-    return len(classes), (_Class(letters, id_counts) for letters in classes)
+def _given(*instances: Word):
+    """A chunk whose arguments are its instances."""
+    return instances
 
 
 class _Check(NamedTuple):
     summary: str
-    chunk: Callable[..., tuple[int, Iterable]]
+    chunk: Callable[..., Iterable]
     judge: Callable[[Iterable], Counterexample | None]
 
 
@@ -483,8 +474,8 @@ _CHECKS: dict[str, _Check] = {
     ),
     "thm-1.2": _Check(
         "sextuple (Adj, des, ides, F, MAJ, STAT) equidistribution on [m]^n",
-        _whole_cube,
-        _each(_pred_cube_swap),
+        _cube_chunk,
+        _cube_slice_swap,
     ),
     "thm-1.3": _Check(
         "pointwise (des, Id, F, MAJ, STAT) swap under phi on S_n",
@@ -493,12 +484,12 @@ _CHECKS: dict[str, _Check] = {
     ),
     "cor-1.4": _Check(
         "pointwise quintuple swap under phi_on_class over rearrangement classes",
-        _class_chunk,
+        rearrangement_class,
         _swap_judge("phi_on_class", _SWAP_SCHEMA),
     ),
     "cor-1.5": _Check(
         "pointwise (IMAJ, des, ides, F, MAJ, STAT) swap under phi_on_class",
-        _class_chunk,
+        rearrangement_class,
         _swap_judge("phi_on_class", _SEXT_SCHEMA),
     ),
     "lemma-3.1": _Check(
@@ -519,8 +510,8 @@ _CHECKS: dict[str, _Check] = {
     ),
     "prop-2.4": _Check(
         "both characterizations of compatible permutations coincide",
-        _classes_of_one_size,
-        _each(_pred_characterizations),
+        _given,
+        _judge_characterizations,
     ),
 }
 
@@ -529,26 +520,24 @@ CHECK_IDS: tuple[str, ...] = tuple(_CHECKS)
 CHECK_SUMMARIES: dict[str, str] = {name: c.summary for name, c in _CHECKS.items()}
 
 _CLASS_CHECKS = tuple(
-    name for name, c in _CHECKS.items() if c.chunk in (_class_chunk, _classes_of_one_size)
+    name for name, c in _CHECKS.items() if c.chunk in (rearrangement_class, _given)
 )
 
 
 # ------------------------------------------------------------ task running
 
-# A task is (check name, chunk arguments) and returns (chunk size, first
+# A task is (check name, chunk arguments) and returns (check name, first
 # failure in the chunk), so a merge in task order yields the
-# lexicographically least counterexample and an instance count independent
-# of scheduling.
+# lexicographically least counterexample independent of scheduling.
 
 
-def _run_task(task: tuple[str, tuple]) -> tuple[int, Counterexample | None]:
+def _run_task(task: tuple[str, tuple]) -> tuple[str, Counterexample | None]:
     name, args = task
     entry = _CHECKS[name]
-    size, instances = entry.chunk(*args)
-    return size, entry.judge(instances)
+    return name, entry.judge(entry.chunk(*args))
 
 
-def _execute(tasks: list[tuple], jobs: int) -> list[tuple[int, Counterexample | None]]:
+def _execute(tasks: list[tuple], jobs: int) -> list[tuple[str, Counterexample | None]]:
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers <= 1:
         return [_run_task(task) for task in tasks]
@@ -600,16 +589,17 @@ def _power_sums(m: int) -> Iterator[int]:
 
 
 def _build(name: str, bounds: CheckBounds, sweep: bool):
-    """(domain description, chunk arguments) of one check.  The instance
-    count is compared with the cap in closed form, and summed only until it
-    is past both the cap and the largest count a refusal writes.  Chunk
-    arguments are generated lazily, so an oversized check raises
-    BoundTooLargeError before anything is enumerated or allocated."""
+    """(domain description, instance count, chunk arguments) of one check.
+    The count is compared with the cap in closed form, and summed only until
+    it is past both the cap and the largest count a refusal writes, so it is
+    exact whenever the check runs.  Chunk arguments are generated lazily, so
+    an oversized check raises BoundTooLargeError before anything is
+    enumerated or allocated."""
     try:
         chunk = _CHECKS[name].chunk
     except KeyError:
         raise UnknownNameError(f"unknown check {name!r}; known: {', '.join(CHECK_IDS)}") from None
-    by_size = chunk is _classes_of_one_size
+    by_size = chunk is _given
     n, m = bounds.n, bounds.alphabet
     limit = max(bounds.cap, WRITTEN_COUNT_LIMIT - 1)
     if chunk is _perm_chunk:
@@ -620,15 +610,17 @@ def _build(name: str, bounds: CheckBounds, sweep: bool):
         else:
             *_, work = _factorials(n, limit)
         args = ((k, first) for k in sizes for first in range(1, k + 1))
-    elif chunk is _cube_chunk or chunk is _whole_cube:
-        grid = ((a, k) for k in range(1, n + 1) for a in range(1, m + 1))
-        if chunk is _cube_chunk:
-            args = ((a, k, first) for a, k in grid for first in range(1, a + 1))
-        else:
-            args = grid
+    elif chunk is _cube_chunk:
         domain = f"[m]^n, m<={m}, n<={n}"
         # sum of a^k over the grid; with one letter, each cube has one word
         work = n if m == 1 else _sum_past(islice(_power_sums(m), n), limit)
+        grid = ((a, k) for k in range(1, n + 1) for a in range(1, m + 1))
+        # [a]^1 is one chunk: sliced by first letter, it would be one task per word.
+        args = (
+            (a, k, *head)
+            for a, k in grid
+            for head in (product(range(1, a + 1)) if k > 1 else [()])
+        )
     # Class checks: each word of a class is one instance.  prop-2.4 codes the
     # words of every class and groups S_k once per size k, one task per size.
     elif bounds.word is not None:
@@ -644,7 +636,10 @@ def _build(name: str, bounds: CheckBounds, sweep: bool):
             work += _sum_past(_factorials(n, limit), limit)
         args = _class_args(bounds, by_size)
     refuse_over_cap(f"{name} over {domain} needs", work, "instances", bounds.cap)
-    return domain, args
+    instances = work
+    if by_size:  # prop-2.4's instances are its multisets; its cap also counts S_k
+        instances = 1 if bounds.word is not None else math.comb(m + n, n) - 1
+    return domain, instances, args
 
 
 def _resolve(bounds: CheckBounds | None, overrides: dict) -> CheckBounds:
@@ -656,15 +651,15 @@ def _run(names: Sequence[str], bounds: CheckBounds, sweep: bool) -> list[CheckRe
     """Build every named check, holding each to the cap before any runs, then
     run all their chunks, in check order, through one `_execute`."""
     built = [(name, *_build(name, bounds, sweep)) for name in names]
-    tasks = [[(name, a) for a in args] for name, _, args in built]
-    results = iter(_execute([task for own in tasks for task in own], bounds.jobs))
-    reports = []
-    for (name, domain, _), own in zip(built, tasks):
-        mine = [next(results) for _ in own]
-        failure = next((f for _, f in mine if f is not None), None)
-        instances = sum(count for count, _ in mine)
-        reports.append(CheckReport(name, domain, instances, failure is None, failure))
-    return reports
+    tasks = [(name, a) for name, _, _, args in built for a in args]
+    failures: dict[str, Counterexample] = {}
+    for name, failure in _execute(tasks, bounds.jobs):
+        if failure is not None:
+            failures.setdefault(name, failure)
+    return [
+        CheckReport(name, domain, count, name not in failures, failures.get(name))
+        for name, domain, count, _ in built
+    ]
 
 
 def check(

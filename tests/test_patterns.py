@@ -170,28 +170,34 @@ class TestCount:
     def test_parsing_again_reuses_the_generated_code(self, monkeypatch):
         generated = []
         real = patterns._source
-        monkeypatch.setattr(patterns, "_COUNTERS", {})
+        patterns._counter.cache_clear()
         monkeypatch.setattr(patterns, "_source", lambda pat: generated.append(pat) or real(pat))
         first, again = patterns.parse_pattern("31-4-2"), patterns.parse_pattern("31-4-2")
         assert first is not again
         w = (4, 1, 2, 5, 3)
         assert patterns.count_occurrences(first, w) == patterns.count_occurrences(again, w) == 1
         assert generated == [first]
-        assert patterns._counter(first) is patterns._counter(again)
+        key = (first.letters, first.glued)
+        assert patterns._counter(*key) is patterns._counter(again.letters, again.glued)
+        info = patterns._counter.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
 
-    def test_generated_code_cache_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(patterns, "_COUNTERS", {})
+    def test_generated_code_cache_is_bounded(self):
+        patterns._counter.cache_clear()
         valid = [  # the 4-letter patterns ab-cd whose letters cover 1..max
             patterns.parse_pattern("{}{}-{}{}".format(*letters))
             for letters in product(range(1, 5), repeat=4)
             if set(letters) == set(range(1, max(letters) + 1))
         ]
-        assert len(valid) > patterns._MAX_COUNTERS
+        bound = patterns._counter.cache_info().maxsize
+        assert bound == 64 and len(valid) > bound
         w = (1, 2, 1, 3, 2)
         for pat in valid:
             assert patterns.count_occurrences(pat, w) == brute_count(pat, w)
-        assert len(patterns._COUNTERS) == patterns._MAX_COUNTERS
-        assert (valid[-1].letters, valid[-1].glued) in patterns._COUNTERS
+        assert patterns._counter.cache_info().currsize == bound
+        misses = patterns._counter.cache_info().misses
+        patterns._counter(valid[-1].letters, valid[-1].glued)
+        assert patterns._counter.cache_info().misses == misses
 
     def test_named_sums_match_reference_on_small_words(self):
         specs = patterns._SUM_SPECS

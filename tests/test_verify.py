@@ -24,6 +24,20 @@ TABLE_1122 = Counter(
 )
 
 
+DOMAIN_KINDS = {
+    "thm-1.1": "perm",
+    "thm-1.2": "cube",
+    "thm-1.3": "perm",
+    "cor-1.4": "class",
+    "cor-1.5": "class",
+    "lemma-3.1": "perm",
+    "lemma-3.4": "perm",
+    "lemma-3.5": "perm",
+    "eq-2": "cube",
+    "prop-2.4": "multiset",
+}
+
+
 class TestEnumeration:
     def test_class_1122_order(self):
         assert list(verify.rearrangement_class((1, 1, 2, 2))) == [
@@ -251,6 +265,82 @@ class TestCheck:
         )
         report = verify.check("thm-1.2", n=3, alphabet=2)
         assert not report.passed and report.counterexample is not None
+
+    @pytest.mark.parametrize("fault", [None, "swapped schema", "wrong stat", "raising ides"])
+    def test_slices_judge_thm_1_2_like_whole_cubes(self, monkeypatch, fault):
+        if fault == "swapped schema":
+            monkeypatch.setattr(verify, "_CUBE_SWAPPED", ("adj", "des", "ides", "F", "maj", "maj"))
+        elif fault == "wrong stat":
+            real = words.STATISTICS["stat"]
+            # first fails on the slice of [2]^2 that begins with 1, not with 2
+            monkeypatch.setitem(words.STATISTICS, "stat", lambda w: real(w) + (w[:2] == (1, 2)))
+        elif fault == "raising ides":
+            ides = words.STATISTICS["ides"]
+
+            def raising(w):
+                if w == (1, 3, 1):
+                    raise ValueError("planted")
+                return ides(w)
+
+            monkeypatch.setitem(words.STATISTICS, "ides", raising)
+        columns = [verify._CUBE_SCHEMA.index(name) for name in verify._CUBE_SWAPPED]
+
+        def whole_cube_fails(a, k):
+            try:
+                left = verify.joint_distribution(verify.word_cube(a, k), verify._CUBE_SCHEMA)
+            except ValueError:
+                return True
+            right = Counter()
+            for t, count in left.items():
+                right[tuple(t[i] for i in columns)] += count
+            return left != right
+
+        fails = {(a, k): whole_cube_fails(a, k) for a in range(1, 4) for k in range(1, 6)}
+        assert any(fails.values()) == (fault is not None)
+        for a in range(1, 4):
+            for k in range(1, 6):
+                grid = [(b, j) for j in range(1, k + 1) for b in range(1, a + 1)]
+                first = next((f"[{b}]^{j}" for b, j in grid if fails[b, j]), None)
+                report = verify.check("thm-1.2", n=k, alphabet=a)
+                assert report.passed == (first is None)
+                shown = report.counterexample and report.counterexample.input
+                assert shown == first
+
+    def test_a_one_letter_cube_is_one_chunk(self, monkeypatch):
+        tasks = []
+        real = verify._execute
+        monkeypatch.setattr(
+            verify, "_execute", lambda ts, jobs: tasks.append(len(ts)) or real(ts, jobs)
+        )
+        for name in ("eq-2", "thm-1.2"):
+            assert verify.check(name, n=1, alphabet=300).passed
+        assert tasks == [300, 300]
+
+    @pytest.mark.parametrize("sweep", [False, True])
+    def test_instance_counts_equal_enumerated_domains(self, monkeypatch, sweep):
+        monkeypatch.setattr(
+            verify, "_execute", lambda tasks, jobs: [(name, None) for name, _ in tasks]
+        )
+
+        def words_upto(n, m):
+            return [w for k in range(1, n + 1) for w in verify.word_cube(m, k)]
+
+        for n in range(1, 5):
+            sizes = range(1, n + 1) if sweep else [n]
+            perms = sum(1 for k in sizes for _ in verify.symmetric_group(k))
+            for m in range(1, 4):
+                domains = {
+                    "perm": perms,
+                    "cube": sum(len(words_upto(n, a)) for a in range(1, m + 1)),
+                    "class": len(words_upto(n, m)),
+                    "multiset": len({tuple(sorted(w)) for w in words_upto(n, m)}),
+                }
+                for name in verify.CHECK_IDS:
+                    report = verify.check(name, sweep=sweep, n=n, alphabet=m)
+                    assert report.instances == domains[DOMAIN_KINDS[name]], (name, n, m)
+        word = (1, 1, 2)
+        for name, want in [("cor-1.4", 3), ("cor-1.5", 3), ("prop-2.4", 1)]:
+            assert verify.check(name, sweep=sweep, word=word).instances == want
 
     @pytest.mark.parametrize(
         "map_name, name, lines",
@@ -645,13 +735,13 @@ class TestRunAll:
 
         def stub(tasks, jobs):
             calls.append([name for name, _ in tasks])
-            return [(0, None)] * len(tasks)
+            return [(name, None) for name, _ in tasks]
 
         monkeypatch.setattr(verify, "_execute", stub)
         assert cli.main(["verify", "all", "--n", "9", "--alphabet", "4"]) == 0
         assert len(calls) == 1 and list(dict.fromkeys(calls[0])) == list(verify.CHECK_IDS)
         assert capsys.readouterr().out.splitlines()[-1] == (
-            "PASS prop-2.4 (classes with n<=9, letters<=4): 0 instances"
+            "PASS prop-2.4 (classes with n<=9, letters<=4): 714 instances"
         )
         with pytest.raises(BoundTooLargeError, match="needs 758637 instances"):
             verify.check("prop-2.4", n=9, alphabet=4, cap=758_636)
