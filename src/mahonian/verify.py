@@ -13,15 +13,24 @@ Each check scans its domain in lexicographic order and reports the instance
 count, from the closed forms that the cap is held to, plus the first
 counterexample, if any.  Domains are partitioned into lexicographically
 contiguous chunks: first-letter slices of S_n and of each cube [a]^k with
-k >= 2, the whole of [a]^1, single classes, and for prop-2.4 the multisets
-of one size.  A task is one check judging one whole chunk.  The involutions
-fix the first letter and the class, so every image lies in its word's
-chunk: a swap check walks the chunk by involution pairs, maps and profiles
-each word once, and holds only the images it has vouched for until the walk
-reaches them.  thm-1.2's sextuple includes F, so it holds on a cube exactly
-when it holds on each slice, and it is judged per slice.  A run sends the
-chunks of all its checks, in check order, to one executor, serial or a
-single process pool, so every report is identical either way.
+k >= 2, the whole of [a]^1, runs of consecutive classes of one size up to a
+fixed number of words, and for prop-2.4 the multisets of one size.  The
+involutions fix the first letter and the class, so every image lies in its
+word's chunk: a swap check walks the chunk by involution pairs, maps and
+profiles each word once, and holds only the images it has vouched for until
+the walk reaches them.  thm-1.2's sextuple includes F, so it holds on a cube
+exactly when it holds on each slice, and it is judged per slice.
+
+A task is one chunk, judged by every check of the run that shares its chunk
+function: a single check judges it alone, reading every map and statistic
+directly; `run_all` runs one pass per chunk for the five S_n checks, for
+thm-1.2 and eq-2, and for cor-1.4 and cor-1.5.  A pass hands each word to
+every check that has not failed yet, and computes each image and statistic
+of the word and of its images once for all of them; lemma-3.5 reads phi
+from thm-1.3's walk.  Each check keeps its own judge and first failure.  A
+run sends every task to one executor, serial or a single process pool that
+takes the largest tasks first, and merges the results in check and chunk
+order, so every report is identical either way.
 """
 from __future__ import annotations
 
@@ -99,13 +108,12 @@ def multisets(max_letter: int, max_size: int) -> Iterator[Word]:
 def _characterizations(letters: Iterable[int]) -> tuple[frozenset[Word], frozenset[Word]]:
     """Compatible permutations computed two independent ways: as the coded
     image of the rearrangement class, and as the permutations whose inverse
-    descent set stays inside the multiset's run boundaries."""
-    wbar = words.sorted_word(letters)
+    descent set, read through `STATISTICS`, stays inside the multiset's run
+    boundaries."""
+    wbar, ids = words.sorted_word(letters), statistic("Id-set")
     coded = frozenset(words.code(v) for v in rearrangement_class(wbar))
     bounds = words.block_boundaries(wbar)
-    by_id = frozenset(
-        p for p in symmetric_group(len(wbar)) if words.inverse_descent_set(p) <= bounds
-    )
+    by_id = frozenset(p for p in symmetric_group(len(wbar)) if ids(p) <= bounds)
     return coded, by_id
 
 
@@ -127,7 +135,7 @@ def compatible_set(letters: Iterable[int]) -> frozenset[Word]:
 
 def profile(w: Sequence[int], schema: Sequence[str]) -> tuple:
     """The tuple of the named statistics of one word."""
-    return tuple(statistic(name)(w) for name in schema)
+    return tuple([statistic(name)(w) for name in schema])
 
 
 def joint_distribution(domain: Iterable[Sequence[int]], schema: Sequence[str]) -> Counter:
@@ -224,11 +232,6 @@ def _oracle_stat(w) -> int:
     return patterns.eval_sum("STAT_w", w)
 
 
-def _oracle_profile(w, schema: Sequence[str]) -> tuple:
-    """`profile`, with STAT from the pattern-sum oracle."""
-    return tuple(_oracle_stat(w) if name == "stat" else statistic(name)(w) for name in schema)
-
-
 def _mismatch(w, role, image, left_schema, left, right_schema, right) -> Counterexample:
     return Counterexample(
         input=words.format_word(w),
@@ -258,74 +261,188 @@ def _first_failure(predicate, instances: Iterable) -> Counterexample | None:
     return None
 
 
-def _each(predicate):
-    """Judge of a chunk that applies `predicate` to each instance in order."""
-    return functools.partial(_first_failure, predicate)
+# A judge sees one chunk's words in order.  It reads maps and statistics
+# through a look, given when it starts: `_Direct` when its check runs alone,
+# or the `_Memo` of a fused pass, which computes each image and statistic of
+# the current word, and of its images, once for every judge of the pass.
 
 
-def _swap_judge(map_name: str, schema: Sequence[str]):
-    """Judge of a chunk for the pointwise MAJ/STAT swap under
-    `involution.<map_name>`, looked up at each call so that a patched map is
-    the one checked.  Each word is judged in order: its map must not raise,
-    its image must show its `schema` profile with MAJ and STAT exchanged,
-    and the image of its image must be the word.
+class _Direct:
+    """How a check run alone reads maps and statistics: afresh at each call,
+    through the functions in place when its chunk starts, so that a patched
+    one is the one checked.  It keeps nothing between words."""
+
+    def __init__(self) -> None:
+        self.profile = profile
+
+    mapper = staticmethod(functools.partial(getattr, involution))
+    known = staticmethod(lambda map_name, w, image: None)
+
+
+class _Memo(dict):
+    """A fused pass's memo of its current word: word -> {map or statistic
+    name -> value}, for the word and for the images its judges reach."""
+
+    def __missing__(self, w) -> dict:
+        row = self[w] = {}
+        return row
+
+    def mapper(self, map_name: str) -> Callable:
+        apply = getattr(involution, map_name)
+
+        def image(w):
+            row = self[w]
+            if map_name not in row:
+                row[map_name] = apply(w)
+            return row[map_name]
+
+        return image
+
+    def profile(self, w, schema: Sequence[str]) -> tuple:
+        row = self[w]
+        for name in schema:
+            if name not in row:
+                row[name] = STATISTICS[name](w)
+        return tuple([row[name] for name in schema])
+
+    def known(self, map_name: str, w, image) -> None:
+        """Record that the map sends w to `image`, as a walk has seen."""
+        self[w][map_name] = image
+
+
+class _Judge:
+    """One check's judge of one chunk: `step(w)` judges each word in order
+    and returns its failure, if any; `verdict()` judges the chunk as a whole
+    once every word has passed."""
+
+    def verdict(self) -> Counterexample | None:
+        return None
+
+
+class _Each(_Judge):
+    """Applies `predicate(w, look)` to each word."""
+
+    def __init__(self, predicate: Callable, look) -> None:
+        self.step = lambda w: predicate(w, look)
+
+
+class _SwapWalk(_Judge):
+    """The pointwise MAJ/STAT swap under `involution.<map_name>`.  Each word
+    is judged in order: its map must not raise, its image must show its
+    `schema` profile with MAJ and STAT exchanged, and the image of its image
+    must be the word.
 
     The chunk is walked by involution pairs.  A word w maps to v, and v is
     profiled and, unless it is w, mapped back.  When w passes, v passes too,
     since exchanging MAJ and STAT is itself an involution on profiles; so v
-    is vouched for and skipped when the walk reaches it.  Each word is thus
-    mapped and profiled once, and only the vouched words are held.  The walk
-    never looks back: a word whose image precedes it and that is not vouched
-    for fails, since its image does not map back to it."""
-    image_schema = _swapped(schema)
-    columns = [schema.index(name) for name in image_schema]
+    is vouched for, and skipped when the walk reaches it, where the look
+    learns that v maps to w.  Each word is thus mapped and profiled once,
+    and only the vouched words are held.  The walk never looks back: a word
+    whose image precedes it and that is not vouched for fails, since its
+    image does not map back to it."""
 
-    def judge(instances: Iterable) -> Counterexample | None:
-        mapper = getattr(involution, map_name)
-        vouched = set()
-        fmt = words.format_word
+    def __init__(self, map_name: str, schema: Sequence[str], look) -> None:
+        self.map_name, self.schema, self.look = map_name, schema, look
+        self.apply, self.profile = look.mapper(map_name), look.profile
+        self.image_schema = _swapped(schema)
+        self.columns = [schema.index(name) for name in self.image_schema]
+        self.vouched: dict[Word, Word] = {}  # a vouched word -> its image
 
-        def failure(w) -> Counterexample | None:
-            if w in vouched:
-                vouched.remove(w)
+    def step(self, w) -> Counterexample | None:
+        partner = self.vouched.pop(w, None)
+        if partner is not None:
+            self.look.known(self.map_name, w, partner)
+            return None
+        schema, profile = self.schema, self.profile
+        image = self.apply(w)
+        left = profile(w, schema)
+        image_profile = left if image == w else profile(image, schema)
+        right = tuple([image_profile[i] for i in self.columns])
+        if left != right:
+            return _mismatch(w, "image", image, schema, left, self.image_schema, right)
+        if image == w:
+            return None
+        name, fmt = self.map_name, words.format_word
+        try:
+            back = self.apply(image)
+        except Exception as exc:  # the word fails: its image cannot be mapped back
+            actual = f"raised {type(exc).__name__}: {exc}"
+        else:
+            if back == w:
+                self.vouched[image] = w
                 return None
-            image = mapper(w)
-            left = profile(w, schema)
-            image_profile = left if image == w else profile(image, schema)
-            right = tuple(image_profile[i] for i in columns)
-            if left != right:
-                return _mismatch(w, "image", image, schema, left, image_schema, right)
-            if image == w:
-                return None
-            try:
-                back = mapper(image)
-            except Exception as exc:  # the word fails: its image cannot be mapped back
-                actual = f"raised {type(exc).__name__}: {exc}"
-            else:
-                if back == w:
-                    vouched.add(image)
-                    return None
-                actual = f"= {fmt(back)}"
-            return Counterexample(
-                input=fmt(w),
-                expected=f"{map_name}({map_name}({fmt(w)})) = {fmt(w)}",
-                actual=f"{map_name}({fmt(image)}) {actual}",
-            )
-
-        return _first_failure(failure, instances)
-
-    return judge
+            actual = f"= {fmt(back)}"
+        return Counterexample(
+            input=fmt(w),
+            expected=f"{name}({name}({fmt(w)})) = {fmt(w)}",
+            actual=f"{name}({fmt(image)}) {actual}",
+        )
 
 
-def _pred_code_preserves(w):
-    image = words.code(w)
-    left, right = _oracle_profile(w, _CODE_SCHEMA), _oracle_profile(image, _CODE_SCHEMA)
-    if left == right:
-        return None
-    return _mismatch(w, "coded", image, _CODE_SCHEMA, left, _CODE_SCHEMA, right)
+class _CodeSums(_Judge):
+    """eq-2: coding keeps (Adj, des, Id, MAJ) and the pattern-sum STAT.  The
+    pattern sum of each coded permutation is kept for the chunk, so it is
+    summed once per chunk, whether the chunk meets it as the code of other
+    words or as a word of its own.  Only pattern sums are kept."""
+
+    def __init__(self, look) -> None:
+        self.look, self.sums = look, {}
+
+    def _sum(self, p: Word) -> int:
+        if p not in self.sums:
+            self.sums[p] = _oracle_stat(p)
+        return self.sums[p]
+
+    def step(self, w) -> Counterexample | None:
+        columns, image = _CODE_SCHEMA[:-1], words.code(w)
+        left = self.look.profile(w, columns) + (self._sum(w) if image == w else _oracle_stat(w),)
+        right = left if image == w else self.look.profile(image, columns) + (self._sum(image),)
+        if left == right:
+            return None
+        return _mismatch(w, "coded", image, _CODE_SCHEMA, left, _CODE_SCHEMA, right)
 
 
-def _pred_switch_sets(p):
+class _CubeTally(_Judge):
+    """thm-1.2 on one chunk of a cube [a]^k: the sextuple's distribution must
+    equal itself with MAJ and STAT exchanged.  The chunk's last word,
+    (f, a, ..., a) or (a,), names the cube."""
+
+    def __init__(self, look) -> None:
+        self.profile = look.profile
+        self.counts, self.raised, self.last = Counter(), None, None
+
+    def step(self, w) -> None:
+        self.last = w
+        try:
+            self.counts[self.profile(w, _CUBE_SCHEMA)] += 1
+        except Exception as exc:  # the cube fails; read on to its last word to name it
+            self.raised = self.raised or exc
+
+    def verdict(self) -> Counterexample | None:
+        w, left = self.last, self.counts
+        cube = f"[{max(w)}]^{len(w)}"
+        if self.raised is not None:
+            return _raised(cube, self.raised)
+        # The swapped distribution re-indexes the columns of the same one.
+        # Counts are summed, since a schema that repeats a column maps several
+        # tuples onto one key.
+        columns = [_CUBE_SCHEMA.index(name) for name in _CUBE_SWAPPED]
+        right = Counter()
+        for t, count in left.items():
+            right[tuple(t[i] for i in columns)] += count
+        if left == right:
+            return None
+        bad = min(t for t in set(left) | set(right) if left[t] != right[t])
+        return Counterexample(
+            input=cube,
+            expected=f"multiplicity of {bad} in the (.., MAJ, STAT) distribution = {left[bad]}",
+            actual=f"multiplicity in the (.., STAT, MAJ) distribution = {right[bad]}",
+        )
+
+
+def _pred_switch_sets(p, look):
+    """foata_j, uncached, against the descent and inverse descent sets of
+    `words`; nothing is read through `look`."""
     n = len(p)
     image = foata_j(p)
     want_id = words.inverse_descent_set(p)
@@ -342,11 +459,11 @@ def _pred_switch_sets(p):
     )
 
 
-def _maj_sum(p, term: str, value: int):
+def _maj_sum(p, term: str, value: int, look):
     """The counterexample, if any, to MAJ(p) + `term` = (n+1)*des(p) - (F-1).
     des, MAJ and F are read through `STATISTICS`, as the swap checks read
     them, so that the identity also pins those columns."""
-    des, maj, first = profile(p, ("des", "maj", "F"))
+    des, maj, first = look.profile(p, ("des", "maj", "F"))
     lhs = maj + value
     rhs = (len(p) + 1) * des - (first - 1)
     if lhs == rhs:
@@ -358,43 +475,13 @@ def _maj_sum(p, term: str, value: int):
     )
 
 
-def _pred_maj_stat_sum(p):
-    return _maj_sum(p, "STAT", _oracle_stat(p))
+def _pred_maj_stat_sum(p, look):
+    return _maj_sum(p, "STAT", _oracle_stat(p), look)
 
 
-def _pred_maj_pair_sum(p):
-    return _maj_sum(p, "MAJ(image)", statistic("maj")(involution.phi(p)))
-
-
-def _cube_slice_swap(instances: Iterable[Word]) -> Counterexample | None:
-    """Judge of thm-1.2 on one chunk of a cube [a]^k: the sextuple's
-    distribution must equal itself with MAJ and STAT exchanged.  The chunk's
-    last word, (f, a, ..., a) or (a,), names the cube."""
-    extractors = [statistic(name) for name in _CUBE_SCHEMA]
-    left, raised = Counter(), None
-    for w in instances:
-        try:
-            left[tuple(f(w) for f in extractors)] += 1
-        except Exception as exc:  # the cube fails; read on to its last word to name it
-            raised = raised or exc
-    cube = f"[{max(w)}]^{len(w)}"
-    if raised is not None:
-        return _raised(cube, raised)
-    # The swapped distribution re-indexes the columns of the same one.  Counts
-    # are summed, since a schema that repeats a column maps several tuples
-    # onto one key.
-    columns = [_CUBE_SCHEMA.index(name) for name in _CUBE_SWAPPED]
-    right = Counter()
-    for t, count in left.items():
-        right[tuple(t[i] for i in columns)] += count
-    if left == right:
-        return None
-    bad = min(t for t in set(left) | set(right) if left[t] != right[t])
-    return Counterexample(
-        input=cube,
-        expected=f"multiplicity of {bad} in the (.., MAJ, STAT) distribution = {left[bad]}",
-        actual=f"multiplicity in the (.., STAT, MAJ) distribution = {right[bad]}",
-    )
+def _pred_maj_pair_sum(p, look):
+    (image_maj,) = look.profile(look.mapper("phi")(p), ("maj",))
+    return _maj_sum(p, "MAJ(image)", image_maj, look)
 
 
 def _pred_characterizations(wbar: Word, id_counts: Callable[[int], Counter]):
@@ -404,39 +491,48 @@ def _pred_characterizations(wbar: Word, id_counts: Callable[[int], Counter]):
     the counts of S_k by inverse descent set.  Only a class that disagrees
     builds both sets, to name the stray permutation."""
     k, bounds = len(wbar), words.block_boundaries(wbar)
+    ids = statistic("Id-set")
     coded = {words.code(v) for v in rearrangement_class(wbar)}
     want = multinomial(wbar)
     if (
         len(coded) == want
-        and all(
-            len(p) == k and words.is_permutation(p) and words.inverse_descent_set(p) <= bounds
-            for p in coded
-        )
-        and sum(count for ids, count in id_counts(k).items() if ids <= bounds) == want
+        and all(len(p) == k and words.is_permutation(p) and ids(p) <= bounds for p in coded)
+        and sum(count for s, count in id_counts(k).items() if s <= bounds) == want
     ):
         return None
     coded, by_id = _characterizations(wbar)
+    shown = words.format_word(wbar)
     if coded != by_id:
         stray = min(coded.symmetric_difference(by_id))
         side = "coded image" if stray in coded else "inverse-descent side"
         return Counterexample(
-            input=words.format_word(wbar),
+            input=shown,
             expected="identical characterizations of the compatible permutations",
             actual=f"{words.format_word(stray)} appears only in the {side}",
         )
     if len(coded) != want:
         return Counterexample(
-            input=words.format_word(wbar),
+            input=shown,
             expected=f"{want} compatible permutations (multinomial)",
             actual=str(len(coded)),
         )
-    return None
+    return Counterexample(
+        input=shown,
+        expected=f"{want} distinct coded permutations of 1..{k}, each with Id inside the"
+        f" boundaries {words.format_index_set(bounds)}, and {want} such in S_{k}",
+        actual="the counts disagree, but the rebuilt sets agree",
+    )
 
 
-def _judge_characterizations(classes: Iterable[Word]) -> Counterexample | None:
-    """Judge of prop-2.4, grouping S_k by inverse descent set once per size k."""
-    counts = functools.cache(lambda k: Counter(map(words.inverse_descent_set, symmetric_group(k))))
-    return _first_failure(lambda wbar: _pred_characterizations(wbar, counts), classes)
+class _Characterizations(_Judge):
+    """prop-2.4, grouping S_k by inverse descent set once per size k."""
+
+    def __init__(self, look) -> None:
+        ids = statistic("Id-set")
+        self.counts = functools.cache(lambda k: Counter(map(ids, symmetric_group(k))))
+
+    def step(self, wbar: Word) -> Counterexample | None:
+        return _pred_characterizations(wbar, self.counts)
 
 
 # ------------------------------------------------------------------ chunks
@@ -455,6 +551,11 @@ def _cube_chunk(m: int, n: int, *head: int):
     return (head + tail for tail in product(range(1, m + 1), repeat=n - len(head)))
 
 
+def _class_chunk(*classes: Word):
+    """The words of each class in turn."""
+    return (w for letters in classes for w in rearrangement_class(letters))
+
+
 def _given(*instances: Word):
     """A chunk whose arguments are its instances."""
     return instances
@@ -463,55 +564,57 @@ def _given(*instances: Word):
 class _Check(NamedTuple):
     summary: str
     chunk: Callable[..., Iterable]
-    judge: Callable[[Iterable], Counterexample | None]
+    start: Callable[..., _Judge]  # a fresh judge of one chunk, given how it reads
 
 
 _CHECKS: dict[str, _Check] = {
     "thm-1.1": _Check(
         "pointwise (Adj, des, F, MAJ, STAT) swap under burstein_p on S_n",
         _perm_chunk,
-        _swap_judge("burstein_p", _ADJ_SCHEMA),
+        functools.partial(_SwapWalk, "burstein_p", _ADJ_SCHEMA),
     ),
     "thm-1.2": _Check(
         "sextuple (Adj, des, ides, F, MAJ, STAT) equidistribution on [m]^n",
         _cube_chunk,
-        _cube_slice_swap,
+        _CubeTally,
     ),
     "thm-1.3": _Check(
         "pointwise (des, Id, F, MAJ, STAT) swap under phi on S_n",
         _perm_chunk,
-        _swap_judge("phi", _SWAP_SCHEMA),
+        functools.partial(_SwapWalk, "phi", _SWAP_SCHEMA),
     ),
     "cor-1.4": _Check(
         "pointwise quintuple swap under phi_on_class over rearrangement classes",
-        rearrangement_class,
-        _swap_judge("phi_on_class", _SWAP_SCHEMA),
+        _class_chunk,
+        functools.partial(_SwapWalk, "phi_on_class", _SWAP_SCHEMA),
     ),
     "cor-1.5": _Check(
         "pointwise (IMAJ, des, ides, F, MAJ, STAT) swap under phi_on_class",
-        rearrangement_class,
-        _swap_judge("phi_on_class", _SEXT_SCHEMA),
+        _class_chunk,
+        functools.partial(_SwapWalk, "phi_on_class", _SEXT_SCHEMA),
     ),
     "lemma-3.1": _Check(
-        "foata_j preserves Id and reflects D on S_n", _perm_chunk, _each(_pred_switch_sets)
+        "foata_j preserves Id and reflects D on S_n",
+        _perm_chunk,
+        functools.partial(_Each, _pred_switch_sets),
     ),
     "lemma-3.4": _Check(
-        "MAJ + STAT = (n+1)*des - (F-1) on S_n", _perm_chunk, _each(_pred_maj_stat_sum)
+        "MAJ + STAT = (n+1)*des - (F-1) on S_n",
+        _perm_chunk,
+        functools.partial(_Each, _pred_maj_stat_sum),
     ),
     "lemma-3.5": _Check(
         "MAJ + MAJ(phi image) = (n+1)*des - (F-1) on S_n",
         _perm_chunk,
-        _each(_pred_maj_pair_sum),
+        functools.partial(_Each, _pred_maj_pair_sum),
     ),
     "eq-2": _Check(
-        "coding preserves (Adj, des, Id, MAJ, STAT) on [m]^n",
-        _cube_chunk,
-        _each(_pred_code_preserves),
+        "coding preserves (Adj, des, Id, MAJ, STAT) on [m]^n", _cube_chunk, _CodeSums
     ),
     "prop-2.4": _Check(
         "both characterizations of compatible permutations coincide",
         _given,
-        _judge_characterizations,
+        _Characterizations,
     ),
 }
 
@@ -520,42 +623,94 @@ CHECK_IDS: tuple[str, ...] = tuple(_CHECKS)
 CHECK_SUMMARIES: dict[str, str] = {name: c.summary for name, c in _CHECKS.items()}
 
 _CLASS_CHECKS = tuple(
-    name for name, c in _CHECKS.items() if c.chunk in (rearrangement_class, _given)
+    name for name, c in _CHECKS.items() if c.chunk in (_class_chunk, _given)
 )
 
 
 # ------------------------------------------------------------ task running
 
-# A task is (check name, chunk arguments) and returns (check name, first
-# failure in the chunk), so a merge in task order yields the
-# lexicographically least counterexample independent of scheduling.
+# A task is one chunk judged by every check of the run that shares its chunk
+# function, and returns each check's first failure in the chunk, so a merge
+# in task order yields each check's lexicographically least counterexample
+# independent of scheduling.
 
 
-def _run_task(task: tuple[str, tuple]) -> tuple[str, Counterexample | None]:
-    name, args = task
-    entry = _CHECKS[name]
-    return name, entry.judge(entry.chunk(*args))
+class _Task(NamedTuple):
+    names: tuple[str, ...]  # the checks that judge the chunk, in check order
+    args: tuple  # the chunk's arguments
+    size: int  # the chunk's closed-form size, which orders the pool's queue
 
 
-def _execute(tasks: list[tuple], jobs: int) -> list[tuple[str, Counterexample | None]]:
+def _fused(names: Sequence[str], instances: Iterable) -> list[Counterexample | None]:
+    """Each named check's first failure on one chunk, read once: each word
+    goes, in check order, to every judge that has not failed, and one memo
+    lets them share the word's images and statistics."""
+    memo = _Memo()
+    judges = [_CHECKS[name].start(memo) for name in names]
+    failures: list[Counterexample | None] = [None] * len(judges)
+    live = list(enumerate(judges))
+    for w in instances:
+        memo.clear()
+        for i, judge in live:
+            try:
+                failures[i] = judge.step(w)
+            except Exception as exc:  # a map that raises on an instance fails there
+                failures[i] = _raised(words.format_word(w), exc)
+        live = [(i, judge) for i, judge in live if failures[i] is None]
+        if not live:
+            break
+    for i, judge in live:
+        failures[i] = judge.verdict()
+    return failures
+
+
+def _run_task(task: _Task) -> list[Counterexample | None]:
+    instances = _CHECKS[task.names[0]].chunk(*task.args)
+    if len(task.names) > 1:
+        return _fused(task.names, instances)
+    alone = _CHECKS[task.names[0]].start(_Direct())
+    return [_first_failure(alone.step, instances) or alone.verdict()]
+
+
+def _execute(tasks: list[_Task], jobs: int) -> list[list[Counterexample | None]]:
+    """The results of the tasks, in their order.  A pool is handed them
+    largest first, so that the smallest tasks fill the end of the run."""
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers <= 1:
         return [_run_task(task) for task in tasks]
+    order = sorted(range(len(tasks)), key=lambda i: -tasks[i].size)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_task, tasks))
+        results = dict(zip(order, pool.map(_run_task, [tasks[i] for i in order])))
+    return [results[i] for i in range(len(tasks))]
 
 
 # ----------------------------------------------------------- check builders
 
 
-def _class_args(bounds: CheckBounds, by_size: bool) -> Iterator[tuple[Word, ...]]:
-    """Chunk arguments of a class sweep, generated only once iterated: every
-    multiset of one size per chunk for prop-2.4, else one multiset per chunk."""
-    classes = multisets(bounds.alphabet, bounds.n)
-    if by_size:
-        yield from (tuple(group) for _, group in groupby(classes, key=len))
-    else:
-        yield from ((letters,) for letters in classes)
+# Consecutive classes of one size share a chunk of at most this many words;
+# a larger class is a chunk of its own.
+_CLASS_CHUNK_WORDS = 1024
+
+
+def _class_chunks(bounds: CheckBounds, by_size: bool) -> Iterator[tuple[int, tuple[Word, ...]]]:
+    """(size, arguments) of each chunk of a class sweep, generated only once
+    iterated.  For prop-2.4 a chunk is every multiset of one size k, sized by
+    the m^k words it codes and the k! permutations it groups; else it is a
+    run of consecutive classes of one size, sized by their words."""
+    m = bounds.alphabet
+    for k, group in groupby(multisets(m, bounds.n), key=len):
+        if by_size:
+            yield m**k + math.factorial(k), tuple(group)
+            continue
+        chunk, size = [], 0
+        for letters in group:
+            words_in = multinomial(letters)
+            if chunk and size + words_in > _CLASS_CHUNK_WORDS:
+                yield size, tuple(chunk)
+                chunk, size = [], 0
+            chunk.append(letters)
+            size += words_in
+        yield size, tuple(chunk)
 
 
 def _sum_past(terms: Iterable[int], limit: int) -> int:
@@ -589,12 +744,12 @@ def _power_sums(m: int) -> Iterator[int]:
 
 
 def _build(name: str, bounds: CheckBounds, sweep: bool):
-    """(domain description, instance count, chunk arguments) of one check.
-    The count is compared with the cap in closed form, and summed only until
-    it is past both the cap and the largest count a refusal writes, so it is
-    exact whenever the check runs.  Chunk arguments are generated lazily, so
-    an oversized check raises BoundTooLargeError before anything is
-    enumerated or allocated."""
+    """(domain description, instance count, chunks) of one check, where each
+    chunk is (closed-form size, chunk arguments).  The count is compared with
+    the cap in closed form, and summed only until it is past both the cap and
+    the largest count a refusal writes, so it is exact whenever the check
+    runs.  Chunks are generated lazily, so an oversized check raises
+    BoundTooLargeError before anything is enumerated or allocated."""
     try:
         chunk = _CHECKS[name].chunk
     except KeyError:
@@ -609,37 +764,37 @@ def _build(name: str, bounds: CheckBounds, sweep: bool):
             work = _sum_past(_factorials(n, limit), limit)
         else:
             *_, work = _factorials(n, limit)
-        args = ((k, first) for k in sizes for first in range(1, k + 1))
+        chunks = ((math.factorial(k - 1), (k, first)) for k in sizes for first in range(1, k + 1))
     elif chunk is _cube_chunk:
         domain = f"[m]^n, m<={m}, n<={n}"
         # sum of a^k over the grid; with one letter, each cube has one word
         work = n if m == 1 else _sum_past(islice(_power_sums(m), n), limit)
         grid = ((a, k) for k in range(1, n + 1) for a in range(1, m + 1))
         # [a]^1 is one chunk: sliced by first letter, it would be one task per word.
-        args = (
-            (a, k, *head)
+        chunks = (
+            (a ** (k - len(head)), (a, k, *head))
             for a, k in grid
             for head in (product(range(1, a + 1)) if k > 1 else [()])
         )
     # Class checks: each word of a class is one instance.  prop-2.4 codes the
-    # words of every class and groups S_k once per size k, one task per size.
+    # words of every class and groups S_k once per size k, one chunk per size.
     elif bounds.word is not None:
         letters = words.sorted_word(bounds.word)
         domain = f"R({words.format_word(letters)})"
         work = multinomial(letters) + (math.factorial(len(letters)) if by_size else 0)
-        args = [(letters,)]
+        chunks = [(work, (letters,))]
     else:
         domain = f"classes with n<={n}, letters<={m}"
         # the classes of size k hold m^k words
         work = n if m == 1 else _sum_past((m**k for k in range(1, n + 1)), limit)
         if by_size:
             work += _sum_past(_factorials(n, limit), limit)
-        args = _class_args(bounds, by_size)
+        chunks = _class_chunks(bounds, by_size)
     refuse_over_cap(f"{name} over {domain} needs", work, "instances", bounds.cap)
     instances = work
     if by_size:  # prop-2.4's instances are its multisets; its cap also counts S_k
         instances = 1 if bounds.word is not None else math.comb(m + n, n) - 1
-    return domain, instances, args
+    return domain, instances, chunks
 
 
 def _resolve(bounds: CheckBounds | None, overrides: dict) -> CheckBounds:
@@ -649,16 +804,25 @@ def _resolve(bounds: CheckBounds | None, overrides: dict) -> CheckBounds:
 
 def _run(names: Sequence[str], bounds: CheckBounds, sweep: bool) -> list[CheckReport]:
     """Build every named check, holding each to the cap before any runs, then
-    run all their chunks, in check order, through one `_execute`."""
-    built = [(name, *_build(name, bounds, sweep)) for name in names]
-    tasks = [(name, a) for name, _, _, args in built for a in args]
+    run all their chunks through one `_execute`.  The checks that share a
+    chunk function judge each of its chunks in one task."""
+    built = {name: _build(name, bounds, sweep) for name in names}
+    groups: dict[Callable, list[str]] = {}
+    for name in names:
+        groups.setdefault(_CHECKS[name].chunk, []).append(name)
+    tasks = [
+        _Task(tuple(group), args, size)
+        for group in groups.values()
+        for size, args in built[group[0]][2]
+    ]
     failures: dict[str, Counterexample] = {}
-    for name, failure in _execute(tasks, bounds.jobs):
-        if failure is not None:
-            failures.setdefault(name, failure)
+    for task, found in zip(tasks, _execute(tasks, bounds.jobs)):
+        for name, failure in zip(task.names, found):
+            if failure is not None:
+                failures.setdefault(name, failure)
     return [
         CheckReport(name, domain, count, name not in failures, failures.get(name))
-        for name, domain, count, _ in built
+        for name, (domain, count, _) in built.items()
     ]
 
 

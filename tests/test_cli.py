@@ -12,6 +12,7 @@ import pytest
 from mahonian import cli, involution, patterns, words
 from mahonian.errors import InvalidTripleError
 
+ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).parent / "data"
 SET_SCHEMA = "Id-set,D-set,Sh-set,MAJ,STAT"
 
@@ -310,6 +311,12 @@ class TestVerify:
         serial = run_cli(capsys, *argv, "--jobs", "1")
         parallel = run_cli(capsys, *argv, "--jobs", "2")
         assert serial == parallel and serial[0] == 0
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_all_prints_the_stored_verdict(self, capsys, jobs):
+        stored = (ROOT / "perfbench" / "data" / "verify_all_n7_a3.txt").read_text()
+        argv = ("verify", "all", "--n", "7", "--alphabet", "3", "--jobs", jobs)
+        assert run_cli(capsys, *argv) == (0, stored, "")
 
 
 class TestThinWrapper:

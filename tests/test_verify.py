@@ -1,6 +1,7 @@
 """Enumeration, joint distributions, and the named check registry."""
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -36,6 +37,16 @@ DOMAIN_KINDS = {
     "eq-2": "cube",
     "prop-2.4": "multiset",
 }
+
+
+def plant(monkeypatch, target, name, fake):
+    """Replace `target.<name>` by `fake` wherever the checks reach it: the
+    attribute, and every `words.STATISTICS` entry bound to the same function."""
+    real = getattr(target, name)
+    monkeypatch.setattr(target, name, fake)
+    for key, fn in words.STATISTICS.items():
+        if fn is real:
+            monkeypatch.setitem(words.STATISTICS, key, fake)
 
 
 class TestEnumeration:
@@ -319,7 +330,7 @@ class TestCheck:
     @pytest.mark.parametrize("sweep", [False, True])
     def test_instance_counts_equal_enumerated_domains(self, monkeypatch, sweep):
         monkeypatch.setattr(
-            verify, "_execute", lambda tasks, jobs: [(name, None) for name, _ in tasks]
+            verify, "_execute", lambda tasks, jobs: [[None] * len(t.names) for t in tasks]
         )
 
         def words_upto(n, m):
@@ -444,10 +455,21 @@ class TestCheck:
                     "    actual:   1",
                 ],
             ),
+            (
+                words,
+                "code",
+                lambda real: lambda w: tuple(map(float, real(w))),
+                [
+                    "    input:    1",
+                    "    expected: 1 distinct coded permutations of 1..1, each with Id inside the"
+                    " boundaries {}, and 1 such in S_1",
+                    "    actual:   the counts disagree, but the rebuilt sets agree",
+                ],
+            ),
         ],
     )
     def test_planted_fault_fails_prop_2_4(self, monkeypatch, target, name, fault, lines):
-        monkeypatch.setattr(target, name, fault(getattr(target, name)))
+        plant(monkeypatch, target, name, fault(getattr(target, name)))
         assert verify.check("prop-2.4", n=3, alphabet=2).lines() == [
             "FAIL prop-2.4 (classes with n<=3, letters<=2): 9 instances",
             *lines,
@@ -462,7 +484,7 @@ class TestCheck:
                 raise ValueError("planted")
             return real(w)
 
-        monkeypatch.setattr(words, "inverse_descent_set", planted)
+        plant(monkeypatch, words, "inverse_descent_set", planted)
         argv = ["verify", "prop-2.4", "--n", "3", "--alphabet", "2", "--jobs", jobs]
         assert cli.main(argv) == 1
         assert capsys.readouterr().out.splitlines() == [
@@ -502,6 +524,52 @@ class TestCheck:
     def test_pass_report_renders_one_line(self):
         report = verify.check("lemma-3.1", n=3)
         assert report.lines() == ["PASS lemma-3.1 (S_3): 6 instances"]
+
+    def test_empty_id_column_fails_prop_2_4(self, monkeypatch):
+        monkeypatch.setitem(words.STATISTICS, "Id-set", lambda w: frozenset())
+        reports = verify.run_all(n=5, alphabet=3)
+        assert [r.name for r in reports if not r.passed] == ["prop-2.4"]
+        assert reports[-1].lines() == [
+            "FAIL prop-2.4 (classes with n<=5, letters<=3): 55 instances",
+            "    input:    11",
+            "    expected: identical characterizations of the compatible permutations",
+            "    actual:   21 appears only in the inverse-descent side",
+        ]
+
+    def test_class_chunks_hold_consecutive_classes_up_to_a_word_budget(self, monkeypatch):
+        tasks = []
+        real = verify._execute
+        monkeypatch.setattr(
+            verify, "_execute", lambda ts, jobs: tasks.extend(ts) or real(ts, jobs)
+        )
+        assert verify.check("cor-1.4", n=2, alphabet=300).passed
+        assert len(tasks) == 89  # one task per class would be 300 + C(301, 2) = 45,450
+        assert [c for task in tasks for c in task.args] == list(verify.multisets(300, 2))
+        budget = verify._CLASS_CHUNK_WORDS
+        chunks = list(verify._class_chunks(verify.CheckBounds(n=9, alphabet=3), by_size=False))
+        assert [c for _, classes in chunks for c in classes] == list(verify.multisets(3, 9))
+        for size, classes in chunks:
+            assert len({len(c) for c in classes}) == 1
+            assert size == sum(map(verify.multinomial, classes))
+            assert size <= budget or len(classes) == 1
+        assert max(size for size, _ in chunks) == verify.multinomial((1, 1, 1, 2, 2, 2, 3, 3, 3))
+
+    def test_eq_2_sums_each_coded_permutation_once_per_chunk(self, monkeypatch):
+        bounds = verify.CheckBounds(n=7, alphabet=3)
+        _, _, sized = verify._build("eq-2", bounds, False)
+        chunks = [list(verify._cube_chunk(*args)) for _, args in sized]
+        # each word once, and each code of a chunk once unless it is the word itself
+        want = sum(len(c) + len({words.code(w) for w in c} - set(c)) for c in chunks)
+        assert want == 5_794 <= 3_540 + 2_267
+        oracle, calls = patterns.eval_sum, Counter()
+
+        def counted(name, w):
+            calls[name] += 1
+            return oracle(name, w)
+
+        monkeypatch.setattr(patterns, "eval_sum", counted)
+        assert verify.check("eq-2", bounds).passed
+        assert calls == {"STAT_w": want}
 
 
 SWAP_CHECKS = {
@@ -674,7 +742,10 @@ class TestPairWalk:
                 paired = verify.check(name, sweep=True, n=5, alphabet=3).lines()
                 assert paired[0].split()[0] == ("PASS" if fault is None else "FAIL")
                 naive = naive_swap_judge(map_name, SWAP_SCHEMAS[name])
-                m.setitem(verify._CHECKS, name, verify._CHECKS[name]._replace(judge=naive))
+                # the naive judge keeps nothing between words, so it can judge one at a time
+                alone = SimpleNamespace(step=lambda w: naive([w]), verdict=lambda: None)
+                naive_check = verify._CHECKS[name]._replace(start=lambda look: alone)
+                m.setitem(verify._CHECKS, name, naive_check)
                 assert verify.check(name, sweep=True, n=5, alphabet=3).lines() == paired
 
     @pytest.mark.parametrize(
@@ -734,12 +805,25 @@ class TestRunAll:
         calls = []
 
         def stub(tasks, jobs):
-            calls.append([name for name, _ in tasks])
-            return [(name, None) for name, _ in tasks]
+            calls.append(tasks)
+            return [[None] * len(task.names) for task in tasks]
 
         monkeypatch.setattr(verify, "_execute", stub)
         assert cli.main(["verify", "all", "--n", "9", "--alphabet", "4"]) == 0
-        assert len(calls) == 1 and list(dict.fromkeys(calls[0])) == list(verify.CHECK_IDS)
+        assert len(calls) == 1
+        # one task per chunk, for every check that shares the chunk's function
+        groups = {}
+        for task in calls[0]:
+            groups[task.names] = groups.get(task.names, 0) + task.size
+        perms = sum(math.factorial(k) for k in range(1, 10))
+        class_words = sum(4**k for k in range(1, 10))
+        assert groups == {
+            ("thm-1.1", "thm-1.3", "lemma-3.1", "lemma-3.4", "lemma-3.5"): perms,
+            ("thm-1.2", "eq-2"): sum(a**k for k in range(1, 10) for a in range(1, 5)),
+            ("cor-1.4", "cor-1.5"): class_words,
+            ("prop-2.4",): class_words + perms,
+        }
+        assert sorted(name for names in groups for name in names) == sorted(verify.CHECK_IDS)
         assert capsys.readouterr().out.splitlines()[-1] == (
             "PASS prop-2.4 (classes with n<=9, letters<=4): 714 instances"
         )
@@ -825,3 +909,123 @@ class TestRunAll:
 
     def test_summaries_cover_all_checks(self):
         assert set(verify.CHECK_SUMMARIES) == set(verify.CHECK_IDS)
+
+
+def _patched(target, name, fault):
+    """Plant `fault(real)` as `target.<name>`, a module attribute or a
+    `words.STATISTICS` entry, and wherever else the checks reach it."""
+    if target is words.STATISTICS:
+        return lambda m: m.setitem(target, name, fault(target[name]))
+    return lambda m: plant(m, target, name, fault(getattr(target, name)))
+
+
+def _raising_at(word):
+    def fault(real):
+        def planted(w):
+            if tuple(w) == word:
+                raise ValueError("planted")
+            return real(w)
+
+        return planted
+
+    return fault
+
+
+def _constant(value):
+    return lambda real: lambda w: value
+
+
+def _wrong_kernel_stat(m):
+    wrong = lambda w, kernel=words.stat: kernel(w) + w[0]  # noqa: E731
+    m.setattr(words, "stat", wrong)
+    m.setitem(words.STATISTICS, "stat", wrong)
+
+
+STATS = words.STATISTICS
+
+# Every fault planted in this module, or one of its kind: how to plant it.
+PLANTED = {
+    **{
+        f"{map_name} {kind}": _patched(involution, map_name, lambda real, f=f, n=map_name: f(n))
+        for kind, f in FAULTS.items()
+        for map_name in SAME_PROFILE
+    },
+    "phi raising on an image": _patched(involution, "phi", _raising_at((2, 3, 1))),
+    "swapped cube schema": lambda m: m.setattr(
+        verify, "_CUBE_SWAPPED", ("adj", "des", "ides", "F", "maj", "maj")
+    ),
+    "wrong stat column": _patched(
+        STATS, "stat", lambda real: lambda w: real(w) + (w[:2] == (1, 2))
+    ),
+    "raising ides": _patched(STATS, "ides", _raising_at((1, 2, 1))),
+    "wrong kernel stat": _wrong_kernel_stat,
+    "des is 0": _patched(STATS, "des", _constant(0)),
+    "maj is 0": _patched(STATS, "maj", _constant(0)),
+    "F is 1": _patched(STATS, "F", _constant(1)),
+    "Id is empty": _patched(STATS, "Id-set", _constant(frozenset())),
+    "wrong pattern sum": _patched(patterns, "eval_sum", lambda real: lambda n, w: real(n, w) + 1),
+    "code off at 211": _patched(
+        words, "code", lambda real: lambda w: (2, 1, 3) if tuple(w) == (2, 1, 1) else real(w)
+    ),
+    "code 0-based": _patched(words, "code", lambda real: lambda w: tuple(x - 1 for x in real(w))),
+    "code is the word": _patched(words, "code", lambda real: tuple),
+    "code of floats": _patched(words, "code", lambda real: lambda w: tuple(map(float, real(w)))),
+    "multinomial off by one": _patched(
+        verify, "multinomial", lambda real: lambda letters: real(letters) + 1
+    ),
+    "Id raising at 21": _patched(words, "inverse_descent_set", _raising_at((2, 1))),
+    "Id empty at 213": _patched(
+        words,
+        "inverse_descent_set",
+        lambda real: lambda w: frozenset() if tuple(w) == (2, 1, 3) else real(w),
+    ),
+}
+
+
+class TestFusedPass:
+    def test_each_word_is_mapped_once_per_map(self, monkeypatch):
+        calls = Counter()
+        for name in ("phi", "phi_on_class"):
+            real = getattr(involution, name)
+            monkeypatch.setattr(
+                involution, name, lambda w, real=real, name=name: calls.update([name]) or real(w)
+            )
+        assert all(r.passed for r in verify.run_all(n=6, alphabet=3))
+        # S_1..S_6 has 873 permutations and the classes of [3]^<=6 have 1,092
+        # words; phi_on_class maps through phi.  Check by check, each is twice.
+        assert calls == {"phi": 873 + 1_092, "phi_on_class": 1_092}
+
+    @pytest.mark.parametrize("fault", PLANTED)
+    def test_reports_equal_each_check_run_alone(self, monkeypatch, fault):
+        bounds = verify.CheckBounds(n=5, alphabet=2)
+        PLANTED[fault](monkeypatch)
+        alone = [verify.check(name, bounds, sweep=True).lines() for name in verify.CHECK_IDS]
+        assert any(lines[0].startswith("FAIL") for lines in alone)
+        for jobs in (1, 2):
+            fused = verify.run_all(bounds, jobs=jobs)
+            assert [r.lines() for r in fused] == alone, jobs
+
+    def test_a_pool_takes_the_largest_tasks_first(self, monkeypatch):
+        handed = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                handed.extend(tasks)
+                return map(fn, tasks)
+
+        monkeypatch.setattr(involution, "phi", lambda p: tuple(p))
+        serial = [r.lines() for r in verify.run_all(n=4, alphabet=2)]
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        assert [r.lines() for r in verify.run_all(n=4, alphabet=2, jobs=2)] == serial
+        sizes = [task.size for task in handed]
+        assert sizes == sorted(sizes, reverse=True) and sizes[0] > sizes[-1]
