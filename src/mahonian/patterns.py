@@ -10,12 +10,17 @@ letters are adjacent.
 
 Patterns may repeat letters ("21-2"): equal pattern letters must be matched
 by equal host letters, distinct ones by host letters in the same strict
-order.  Counting runs generated Python code: on first use a pattern becomes
-one small function per block, which places the block at each start
-position, compares each of its letters inline with at most two letters
-already matched, and calls the next block's function.  The code is built
+order.  Counting runs generated Python code: on first use a pattern sum,
+or one pattern as a sum of one term, becomes one counter for the trie of
+its terms' blocks.  Terms share a node for as long as their blocks have the
+same lengths and their letters so far the same relative order, which is
+when they make the same comparisons.  Each node's block is placed once, by
+one loop over its start positions that compares each letter inline with at
+most two letters already matched; the terms that end there add their
+multiplicity, and the single-letter last blocks below it are counted
+together in one inner loop over the rest of the word.  The code is built
 from letter indices and fixed operators only, and is kept in a small
-bounded cache keyed by the pattern.  The counter stays generic in the
+bounded cache keyed by the terms.  The counter stays generic in the
 pattern, since it is the oracle that the verifier holds the closed-form
 STAT kernel to; the tests compare it with a naive backtracker and with a
 scan of every index tuple.
@@ -73,18 +78,13 @@ def parse_pattern(text: str) -> VincularPattern:
     s = text.strip()
     if not _PATTERN_RE.fullmatch(s):
         raise ParseError(f"not a valid pattern: {text!r}")
-    blocks = s.split("-")
-    letters = tuple(int(ch) for block in blocks for ch in block)
-    glued: list[bool] = []
-    for block in blocks:
-        glued.extend([True] * (len(block) - 1))
-        glued.append(False)
-    glued.pop()
-    return VincularPattern(letters, tuple(glued))
+    # A letter is glued to the next one unless a dash comes between them.
+    glued = tuple(after != "-" for ch, after in zip(s, s[1:]) if ch != "-")
+    return VincularPattern(tuple(int(ch) for ch in s if ch != "-"), glued)
 
 
 def count_occurrences(pattern: VincularPattern, word: Sequence[int]) -> int:
-    """Number of occurrences of `pattern` in `word`.
+    """Number of occurrences of `pattern` in `word`: the sum of one term.
 
     An occurrence is an index tuple i_1 < ... < i_r, consecutive wherever the
     pattern demands adjacency, whose letters compare pairwise exactly like
@@ -95,28 +95,31 @@ def count_occurrences(pattern: VincularPattern, word: Sequence[int]) -> int:
     >>> count_occurrences(parse_pattern("31-4-2"), (4, 1, 2, 5, 3))
     1
     """
-    return _counter(pattern.letters, pattern.glued)(word)
+    return _counter(((pattern.letters, pattern.glued),))(word)
 
 
-# The most blocks a counter is generated for.  Each block is one nested call,
-# so a deeper pattern would exhaust Python's recursion limit (1,000 frames).
+# The most blocks of one term a counter is generated for.  Each block past
+# the first is placed by a nested call, so a deeper term would exhaust
+# Python's recursion limit (1,000 frames).
 _MAX_BLOCKS = 500
 
+# A sum's terms as (letters, adjacency flags), which hash faster than patterns.
+_Terms = tuple[tuple[tuple[int, ...], tuple[bool, ...]], ...]
 
-# Generated counters are cached by pattern letters and adjacency flags, plain
-# tuples that hash faster than the pattern.  Like `re`'s cache it is bounded,
-# and it lets every parse of the same pattern text, one per CLI call, reuse
-# the code generated for it.
+
+# Compiled sums are cached by their terms.  Like `re`'s cache it is bounded,
+# and it lets every parse of the same pattern text, one per CLI call, and
+# every use of the same sum reuse the code generated for it.
 @functools.lru_cache(maxsize=64)
-def _counter(letters: tuple[int, ...], glued: tuple[bool, ...]) -> Callable[[Sequence[int]], int]:
-    pattern = VincularPattern(letters, glued)
-    blocks = len(pattern.blocks)
-    if blocks > _MAX_BLOCKS:
-        raise BoundTooLargeError(
-            f"a {blocks}-block pattern has more blocks than the limit {_MAX_BLOCKS}"
-        )
+def _counter(terms: _Terms) -> Callable[[Sequence[int]], int]:
+    for letters, glued in terms:
+        blocks = glued.count(False) + 1
+        if blocks > _MAX_BLOCKS:
+            raise BoundTooLargeError(
+                f"a {blocks}-block pattern has more blocks than the limit {_MAX_BLOCKS}"
+            )
     namespace: dict = {}
-    exec(compile(_source(pattern), "<vincular pattern>", "exec"), namespace)
+    exec(compile(_source(terms), "<pattern sum>", "exec"), namespace)
     return namespace["b0"]
 
 
@@ -137,35 +140,66 @@ def _comparison(letters: tuple[int, ...], i: int) -> str:
     return " < ".join(chain) if len(chain) > 1 else ""
 
 
-def _source(pattern: VincularPattern) -> str:
-    """Python source of the counter: one function b<k> per block, which tries
-    each start position for its letters and calls b<k+1> with the host letters
-    matched so far.  Calls, not nested loops, chain the blocks, so that more
-    blocks compile than Python nests loops, up to `_MAX_BLOCKS`.  Only
-    indices and fixed operators are written."""
-    letters, blocks = pattern.letters, pattern.blocks
-    lines, first = [], 0
-    for k, block in enumerate(blocks):
-        end = first + len(block)
-        if k == 0:
-            lines += ["def b0(w):", "    n, lo = len(w), 0"]
-        else:
-            lines.append(f"def b{k}(w, n, lo, {', '.join(f'x{d}' for d in range(first))}):")
-        # Start positions leave room for this block and every later one.
-        lines += ["    total = 0", f"    for s in range(lo, n - {len(letters) - first - 1}):"]
-        for i in range(first, end):
-            offset = f" + {i - first}" if i > first else ""
-            lines.append(f"        x{i} = w[s{offset}]")
-            test = _comparison(letters, i)
-            if test:
-                lines += [f"        if not ({test}):", "            continue"]
-        if k == len(blocks) - 1:
-            lines.append("        total += 1")
-        else:
-            matched = ", ".join(f"x{d}" for d in range(end))
-            lines.append(f"        total += b{k + 1}(w, n, s + {len(block)}, {matched})")
+class _Node:
+    """A block in the trie of a sum's terms: its letters, standardized, up to
+    its end, and the index of its first letter.  Terms share a node for as
+    long as their blocks have the same lengths and their letters so far the
+    same relative order, which is when they make the same comparisons."""
+
+    def __init__(self, letters: tuple[int, ...] = (), first: int = 0, reach: int = 0) -> None:
+        self.letters, self.first, self.ends = letters, first, 0  # ends: terms ending here
+        self.reach = reach  # the fewest letters a term through it has from `first` on
+        self.children: dict[tuple[int, ...], _Node] = {}
+
+    def tail(self) -> bool:
+        """Whether this is a last block of one letter below another block."""
+        return self.first > 0 and len(self.letters) == self.first + 1 and not self.children
+
+
+def _source(terms: _Terms) -> str:
+    """Python source of the counter of a sum: one function b<k> per trie node
+    with blocks below, b0 the root's, which loops over the start positions of
+    each block below but the tails.  Calls, not nested loops, chain the
+    blocks, so that more blocks compile than Python nests loops, up to
+    `_MAX_BLOCKS` per term.  Only indices and fixed operators are written."""
+    root = _Node()
+    for letters, glued in terms:
+        node = root
+        for block in VincularPattern(letters, glued).blocks:
+            first, prefix = len(node.letters), letters[: len(node.letters) + len(block)]
+            values = sorted(set(prefix))
+            key = tuple(values.index(a) + 1 for a in prefix)
+            reach = len(letters) - first
+            node = node.children.setdefault(key, _Node(key, first, reach))
+            node.reach = min(node.reach, reach)
+        node.ends += 1
+    lines, todo, made = ["def b0(w):", "    n, lo, total = len(w), 0, 0"], [(root, 0)], 0
+    while todo:
+        node, k = todo.pop()
+        if k:
+            matched = "".join(f", x{d}" for d in range(len(node.letters)))
+            lines += [f"def b{k}(w, n, lo{matched}):", "    total = 0"]
+        for block in [c for c in node.children.values() if not c.tail()]:
+            end, size = len(block.letters), len(block.letters) - block.first
+            tails = [c for c in block.children.values() if c.tail()]
+            # Start positions leave room for the shortest term through the block.
+            lines.append(f"    for s in range(lo, n - {block.reach - 1}):")
+            for i in range(block.first, end):
+                offset = f" + {i - block.first}" if i > block.first else ""
+                lines.append(f"        x{i} = w[s{offset}]")
+                test = _comparison(block.letters, i)
+                lines += [f"        if not ({test}):", "            continue"] if test else []
+            lines += [f"        total += {block.ends}"] if block.ends else []
+            lines += [f"        for x{end} in w[s + {size}:]:"] if tails else []
+            for tail in tails:
+                test = _comparison(tail.letters, end)
+                lines += [f"            if {test}:", f"                total += {tail.ends}"]
+            if len(tails) < len(block.children):
+                made += 1
+                matched = "".join(f", x{d}" for d in range(end))
+                lines.append(f"        total += b{made}(w, n, s + {size}{matched})")
+                todo.append((block, made))
         lines.append("    return total")
-        first = end
     return "\n".join(lines) + "\n"
 
 
@@ -178,6 +212,11 @@ class PatternSum:
     def __post_init__(self) -> None:
         if not self.terms:
             raise ValueError("a pattern sum needs at least one term")
+
+    @functools.cached_property
+    def key(self) -> _Terms:
+        """The terms as plain tuples, which key the compiled sums."""
+        return tuple((term.letters, term.glued) for term in self.terms)
 
 
 # Adjacency decompositions of the classical Mahonian statistics on
@@ -211,4 +250,4 @@ def eval_sum(patterns: PatternSum | str, word: Sequence[int]) -> int:
     """
     if isinstance(patterns, str):
         patterns = named_sum(patterns)
-    return sum(count_occurrences(term, word) for term in patterns.terms)
+    return _counter(patterns.key)(word)

@@ -70,16 +70,17 @@ def _insert(p: Sequence[int]) -> tuple[list[list[int]], list[int]]:
     rows: list[list[int]] = []
     row_of_step: list[int] = []
     for x in p:
-        for r, current in enumerate(rows):
-            j = bisect_right(current, x)
-            if j == len(current):
+        r = 0
+        for current in rows:
+            if x >= current[-1]:
                 current.append(x)
-                row_of_step.append(r)
                 break
+            j = bisect_right(current, x)
             current[j], x = x, current[j]
+            r += 1
         else:
-            row_of_step.append(len(rows))
             rows.append([x])
+        row_of_step.append(r)
     return rows, row_of_step
 
 
@@ -124,12 +125,14 @@ def _unbump(rows: list[list[int]], row_of_step: Sequence[int]) -> Word:
         # The largest remaining recording entry sits at the end of its row,
         # so the matching insertion cell is a corner.
         x = rows[i].pop()
-        for r in range(i - 1, -1, -1):
-            current = rows[r]
+        while i:
+            i -= 1
+            current = rows[i]
             j = bisect_left(current, x) - 1
             current[j], x = x, current[j]
         out.append(x)
-    return tuple(reversed(out))
+    out.reverse()
+    return tuple(out)
 
 
 def foata_j(p: Sequence[int]) -> Word:

@@ -276,7 +276,7 @@ class _Direct:
         self.profile = profile
 
     mapper = staticmethod(functools.partial(getattr, involution))
-    known = staticmethod(lambda map_name, w, image: None)
+    known = staticmethod(lambda map_name, w, image, image_maj: None)
 
 
 class _Memo(dict):
@@ -305,9 +305,11 @@ class _Memo(dict):
                 row[name] = STATISTICS[name](w)
         return tuple([row[name] for name in schema])
 
-    def known(self, map_name: str, w, image) -> None:
-        """Record that the map sends w to `image`, as a walk has seen."""
+    def known(self, map_name: str, w, image, image_maj: int) -> None:
+        """Record that the map sends w to `image`, and the MAJ of `image`,
+        as a walk has read them."""
         self[w][map_name] = image
+        self[image]["maj"] = image_maj
 
 
 class _Judge:
@@ -336,22 +338,24 @@ class _SwapWalk(_Judge):
     profiled and, unless it is w, mapped back.  When w passes, v passes too,
     since exchanging MAJ and STAT is itself an involution on profiles; so v
     is vouched for, and skipped when the walk reaches it, where the look
-    learns that v maps to w.  Each word is thus mapped and profiled once,
-    and only the vouched words are held.  The walk never looks back: a word
-    whose image precedes it and that is not vouched for fails, since its
-    image does not map back to it."""
+    learns that v maps to w and the MAJ of w, as the walk read it.  Each
+    word is thus mapped and profiled once, and only the vouched words are
+    held, with their images and the images' MAJ.  The walk never looks
+    back: a word whose image precedes it and that is not vouched for fails,
+    since its image does not map back to it."""
 
     def __init__(self, map_name: str, schema: Sequence[str], look) -> None:
         self.map_name, self.schema, self.look = map_name, schema, look
         self.apply, self.profile = look.mapper(map_name), look.profile
         self.image_schema = _swapped(schema)
         self.columns = [schema.index(name) for name in self.image_schema]
-        self.vouched: dict[Word, Word] = {}  # a vouched word -> its image
+        self.maj = schema.index("maj")
+        self.vouched: dict[Word, tuple[Word, int]] = {}  # a vouched word -> its image, MAJ
 
     def step(self, w) -> Counterexample | None:
         partner = self.vouched.pop(w, None)
         if partner is not None:
-            self.look.known(self.map_name, w, partner)
+            self.look.known(self.map_name, w, *partner)
             return None
         schema, profile = self.schema, self.profile
         image = self.apply(w)
@@ -369,7 +373,7 @@ class _SwapWalk(_Judge):
             actual = f"raised {type(exc).__name__}: {exc}"
         else:
             if back == w:
-                self.vouched[image] = w
+                self.vouched[image] = (w, left[self.maj])
                 return None
             actual = f"= {fmt(back)}"
         return Counterexample(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mahonian import patterns, words
-from mahonian.errors import ParseError, UnknownNameError
+from mahonian.errors import BoundTooLargeError, ParseError, UnknownNameError
 from mahonian.verify import symmetric_group, word_cube
 
 random_words = st.lists(st.integers(1, 4), min_size=1, max_size=7).map(tuple)
@@ -105,6 +105,41 @@ def many_block_patterns(draw):
     return pattern, tuple(word)
 
 
+@st.composite
+def pattern_sums(draw):
+    """1-6 terms.  Each term after the first is a new pattern, an earlier
+    term again, or an earlier term's leading blocks followed by a new block
+    of one or two letters placed anywhere in their order, so that terms
+    share leading blocks, end in blocks of several letters, and repeat."""
+    terms = [draw(vincular_patterns())]
+    for _ in range(draw(st.integers(0, 5))):
+        how = draw(st.sampled_from(["new", "again", "grown"]))
+        if how == "new":
+            terms.append(draw(vincular_patterns()))
+            continue
+        base = draw(st.sampled_from(terms))
+        if how == "again":
+            terms.append(base)
+            continue
+        keep = sum(map(len, base.blocks[: draw(st.integers(1, len(base.blocks)))]))
+        # Doubled, the kept letters leave odd values free between them.
+        grown = [2 * a for a in base.letters[:keep]]
+        grown += draw(st.lists(st.integers(1, 2 * max(grown) + 1), min_size=1, max_size=2))
+        values = sorted(set(grown))
+        letters = tuple(values.index(a) + 1 for a in grown)
+        glued = base.glued[: keep - 1] + (False,) + (True,) * (len(letters) - keep - 1)
+        terms.append(patterns.VincularPattern(letters, glued))
+    return patterns.PatternSum(tuple(terms))
+
+
+@pytest.fixture
+def generated(monkeypatch):
+    """The terms of each sum whose counter source is generated from now on."""
+    made, real = [], patterns._source
+    monkeypatch.setattr(patterns, "_source", lambda terms: made.append(terms) or real(terms))
+    return made
+
+
 class TestParse:
     def test_multi_block(self):
         pat = patterns.parse_pattern("31-4-2")
@@ -167,18 +202,15 @@ class TestCount:
         count = patterns.count_occurrences(pat, w)
         assert count == reference_count(pat, w) == brute_count(pat, w)
 
-    def test_parsing_again_reuses_the_generated_code(self, monkeypatch):
-        generated = []
-        real = patterns._source
+    def test_parsing_again_reuses_the_generated_code(self, generated):
         patterns._counter.cache_clear()
-        monkeypatch.setattr(patterns, "_source", lambda pat: generated.append(pat) or real(pat))
         first, again = patterns.parse_pattern("31-4-2"), patterns.parse_pattern("31-4-2")
         assert first is not again
         w = (4, 1, 2, 5, 3)
         assert patterns.count_occurrences(first, w) == patterns.count_occurrences(again, w) == 1
-        assert generated == [first]
-        key = (first.letters, first.glued)
-        assert patterns._counter(*key) is patterns._counter(again.letters, again.glued)
+        key = ((first.letters, first.glued),)
+        assert generated == [key]
+        assert patterns._counter(key) is patterns._counter(((again.letters, again.glued),))
         info = patterns._counter.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
 
@@ -196,7 +228,7 @@ class TestCount:
             assert patterns.count_occurrences(pat, w) == brute_count(pat, w)
         assert patterns._counter.cache_info().currsize == bound
         misses = patterns._counter.cache_info().misses
-        patterns._counter(valid[-1].letters, valid[-1].glued)
+        patterns._counter(((valid[-1].letters, valid[-1].glued),))
         assert patterns._counter.cache_info().misses == misses
 
     def test_named_sums_match_reference_on_small_words(self):
@@ -210,6 +242,50 @@ class TestCount:
                 for name in patterns.NAMED_SUMS:
                     got = patterns.eval_sum(name, w)
                     assert got == sum(want[text] for text in specs[name]), (name, w)
+
+
+class TestCompiledSums:
+    @given(pattern_sums(), st.lists(st.integers(1, 5), max_size=9).map(tuple))
+    def test_random_sum_matches_its_terms_counted_apart(self, summed, w):
+        assert patterns.eval_sum(summed, w) == sum(brute_count(t, w) for t in summed.terms)
+
+    @given(vincular_patterns(), st.lists(st.integers(1, 5), max_size=9).map(tuple))
+    def test_a_sum_of_one_term_is_its_occurrence_count(self, pat, w):
+        one_term = patterns.PatternSum((pat,))
+        assert patterns.eval_sum(one_term, w) == patterns.count_occurrences(pat, w)
+
+    def test_stat_w_places_each_leading_block_once_and_counts_last_letters_inline(self):
+        source = patterns._source(patterns.named_sum("STAT_w").key)
+        # 21-3, 21-2, 32-1 and 21 begin with a descent, 13-2 and 12-1 with an ascent.
+        assert source.count("def ") == 1 and source.count("for s in range(") == 2
+        assert source.count("for x2 in w[s + 2:]:") == 2 and "b1(" not in source
+
+    def test_terms_share_a_block_until_their_comparisons_differ(self):
+        source = patterns._source(patterns.named_sum("INV").key)
+        # 3-12, 3-21 and 2-31 share their first letter; 21 is a block of its own.
+        assert source.count("def ") == 2 and source.count("for s in range(") == 5
+        assert source.count("total += b1(") == 1
+
+    def test_a_term_past_the_block_limit_is_refused_before_any_code(self, generated):
+        ones = ["1"] * 501
+        summed = patterns.PatternSum(tuple(map(patterns.parse_pattern, ("21", "-".join(ones)))))
+        with pytest.raises(BoundTooLargeError, match="a 501-block pattern .* limit 500$"):
+            patterns.eval_sum(summed, (1,) * 501)
+        assert generated == []
+        deepest = patterns.parse_pattern("-".join(ones[1:]))
+        at_limit = patterns.PatternSum((summed.terms[0], deepest))
+        assert patterns.eval_sum(at_limit, (2,) + (1,) * 501) == 1 + 501
+
+    def test_naming_or_parsing_a_sum_again_reuses_its_code(self, generated):
+        patterns._counter.cache_clear()
+        stat_w = patterns._SUM_SPECS["STAT_w"]
+        parsed = patterns.PatternSum(tuple(map(patterns.parse_pattern, stat_w)))
+        w = (2, 1, 2, 1)
+        assert patterns.eval_sum("STAT_w", w) == patterns.eval_sum(parsed, w) == 4
+        assert patterns.eval_sum("STAT_w", w) == 4
+        assert generated == [parsed.key] == [patterns.named_sum("STAT_w").key]
+        info = patterns._counter.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
 
 class TestSums:

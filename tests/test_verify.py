@@ -995,6 +995,18 @@ class TestFusedPass:
         # words; phi_on_class maps through phi.  Check by check, each is twice.
         assert calls == {"phi": 873 + 1_092, "phi_on_class": 1_092}
 
+    def test_lemma_3_5_reads_the_maj_that_thm_1_3_read(self, monkeypatch):
+        calls = Counter()
+        real = words.STATISTICS["maj"]
+        monkeypatch.setitem(words.STATISTICS, "maj", lambda w: calls.update([w]) or real(w))
+        sn = ("thm-1.1", "thm-1.3", "lemma-3.1", "lemma-3.4", "lemma-3.5")
+        counted = []
+        for names in (sn, sn[:-1]):
+            calls.clear()
+            assert verify._fused(names, verify._perm_chunk(6, 3)) == [None] * len(names)
+            counted.append(sum(calls.values()))
+        assert counted[0] == counted[1] == 216
+
     @pytest.mark.parametrize("fault", PLANTED)
     def test_reports_equal_each_check_run_alone(self, monkeypatch, fault):
         bounds = verify.CheckBounds(n=5, alphabet=2)
