@@ -43,17 +43,17 @@ def main() -> int:
     print(f"\nequal distributions: {maj_dist == stat_dist}")
 
     print("\ninvolution pairing (word -> image, MAJ/STAT shown):")
+    maj, stat = words.statistic("maj"), words.statistic("stat")
     seen = set()
     for v in members:
         if v in seen:
             continue
         image = involution.phi_on_class(v)
         seen.update({v, image})
-        sv, si = words.stat_vector(v), words.stat_vector(image)
         tag = "fixed" if image == v else "swap "
         print(
-            f"  {tag} {words.format_word(v)} (MAJ={sv.maj}, STAT={sv.stat})"
-            f" <-> {words.format_word(image)} (MAJ={si.maj}, STAT={si.stat})"
+            f"  {tag} {words.format_word(v)} (MAJ={maj(v)}, STAT={stat(v)})"
+            f" <-> {words.format_word(image)} (MAJ={maj(image)}, STAT={stat(image)})"
         )
     return 0
 

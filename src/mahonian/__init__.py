@@ -46,18 +46,15 @@ from .verify import (
     word_cube,
 )
 from .words import (
-    StatVector,
     Word,
     adj,
     block_boundaries,
     code,
     complement,
     decode,
-    descent_data,
     descent_set,
     format_index_set,
     format_word,
-    inverse_descent_data,
     inverse_descent_set,
     is_permutation,
     parse_word,
@@ -67,7 +64,6 @@ from .words import (
     sorted_word,
     stat,
     statistic,
-    stat_vector,
     symmetries,
 )
 

@@ -42,9 +42,8 @@ def _parse_schema(text: str | None) -> list[str]:
 
 def _rows(ws, schema: Sequence[str]) -> tuple[list[str], list[tuple]]:
     """Headings, and one (word, statistic values) row per word."""
-    extractors = [words.statistic(token) for token in schema]
     headings = [words.HEADINGS[token] for token in schema]
-    return headings, [(w, [f(w) for f in extractors]) for w in ws]
+    return headings, [(w, words.profile(w, schema)) for w in ws]
 
 
 def _json_row(w, headings: Sequence[str], values: Sequence[object]) -> dict:

@@ -20,10 +20,10 @@ most two letters already matched; the terms that end there add their
 multiplicity, and the single-letter last blocks below it are counted
 together in one inner loop over the rest of the word.  The code is built
 from letter indices and fixed operators only, and is kept in a small
-bounded cache keyed by the terms.  The counter stays generic in the
-pattern, since it is the oracle that the verifier holds the closed-form
-STAT kernel to; the tests compare it with a naive backtracker and with a
-scan of every index tuple.
+bounded cache keyed by the terms; a `PatternSum` also holds its own.  The
+counter stays generic in the pattern, since it is the oracle that the
+verifier holds the closed-form STAT kernel to; the tests compare it with a
+naive backtracker and with a scan of every index tuple.
 """
 from __future__ import annotations
 
@@ -218,6 +218,12 @@ class PatternSum:
         """The terms as plain tuples, which key the compiled sums."""
         return tuple((term.letters, term.glued) for term in self.terms)
 
+    @functools.cached_property
+    def counter(self) -> Callable[[Sequence[int]], int]:
+        """The compiled counter of the sum, held here so that evaluating the
+        sum does not rehash its key."""
+        return _counter(self.key)
+
 
 # Adjacency decompositions of the classical Mahonian statistics on
 # permutations, and the word analogues of MAJ and STAT whose extra
@@ -250,4 +256,4 @@ def eval_sum(patterns: PatternSum | str, word: Sequence[int]) -> int:
     """
     if isinstance(patterns, str):
         patterns = named_sum(patterns)
-    return _counter(patterns.key)(word)
+    return patterns.counter(word)

@@ -21,16 +21,17 @@ profiles each word once, and holds only the images it has vouched for until
 the walk reaches them.  thm-1.2's sextuple includes F, so it holds on a cube
 exactly when it holds on each slice, and it is judged per slice.
 
-A task is one chunk, judged by every check of the run that shares its chunk
-function: a single check judges it alone, reading every map and statistic
-directly; `run_all` runs one pass per chunk for the five S_n checks, for
-thm-1.2 and eq-2, and for cor-1.4 and cor-1.5.  A pass hands each word to
-every check that has not failed yet, and computes each image and statistic
-of the word and of its images once for all of them; lemma-3.5 reads phi
-from thm-1.3's walk.  Each check keeps its own judge and first failure.  A
-run sends every task to one executor, serial or a single process pool that
-takes the largest tasks first, and merges the results in check and chunk
-order, so every report is identical either way.
+A task is one chunk, judged in one pass by every check of the run that
+shares its chunk function: a single check is a pass of one, and `run_all`
+runs one pass per chunk for the five S_n checks, for thm-1.2 and eq-2, and
+for cor-1.4 and cor-1.5.  A pass hands each word to every check that has
+not failed yet, and computes each image and statistic of the word and of
+its images once for all of them, reading statistics through
+`words.profile`; lemma-3.5 reads phi from thm-1.3's walk.  Each check keeps
+its own judge and first failure.  A run sends every task to one executor,
+serial or a single process pool that takes the largest tasks first, and
+merges the results in check and chunk order, so every report is identical
+either way.
 """
 from __future__ import annotations
 
@@ -133,15 +134,11 @@ def compatible_set(letters: Iterable[int]) -> frozenset[Word]:
 # --------------------------------------------------------------- statistics
 
 
-def profile(w: Sequence[int], schema: Sequence[str]) -> tuple:
-    """The tuple of the named statistics of one word."""
-    return tuple([statistic(name)(w) for name in schema])
-
-
 def joint_distribution(domain: Iterable[Sequence[int]], schema: Sequence[str]) -> Counter:
     """Multiset of statistic tuples over a domain of words."""
-    extractors = [statistic(name) for name in schema]
-    return Counter(tuple(f(w) for f in extractors) for w in domain)
+    for name in schema:
+        statistic(name)  # raises UnknownNameError on an unknown name
+    return Counter(words.profile(w, schema) for w in domain)
 
 
 # ------------------------------------------------------------------ reports
@@ -248,68 +245,31 @@ def _raised(shown: str, exc: Exception) -> Counterexample:
     )
 
 
-def _first_failure(predicate, instances: Iterable) -> Counterexample | None:
-    """The failure of the first instance that fails `predicate`; an
-    instance on which the predicate raises fails there."""
-    for x in instances:
-        try:
-            found = predicate(x)
-        except Exception as exc:  # a map that raises on an instance fails there
-            found = _raised(words.format_word(x), exc)
-        if found is not None:
-            return found
-    return None
-
-
 # A judge sees one chunk's words in order.  It reads maps and statistics
-# through a look, given when it starts: `_Direct` when its check runs alone,
-# or the `_Memo` of a fused pass, which computes each image and statistic of
-# the current word, and of its images, once for every judge of the pass.
-
-
-class _Direct:
-    """How a check run alone reads maps and statistics: afresh at each call,
-    through the functions in place when its chunk starts, so that a patched
-    one is the one checked.  It keeps nothing between words."""
-
-    def __init__(self) -> None:
-        self.profile = profile
-
-    mapper = staticmethod(functools.partial(getattr, involution))
-    known = staticmethod(lambda map_name, w, image, image_maj: None)
+# through the `_Memo` of its pass, given when it starts, which computes each
+# image and statistic of the current word, and of its images, once for every
+# judge of the pass.
 
 
 class _Memo(dict):
-    """A fused pass's memo of its current word: word -> {map or statistic
-    name -> value}, for the word and for the images its judges reach."""
+    """A pass's memo of its current word: word -> {map or statistic name ->
+    value}, for the word and for the images its judges reach.  Maps are read
+    from `involution` at each call, so that a patched one is the one checked."""
 
-    def __missing__(self, w) -> dict:
-        row = self[w] = {}
-        return row
-
-    def mapper(self, map_name: str) -> Callable:
-        apply = getattr(involution, map_name)
-
-        def image(w):
-            row = self[w]
-            if map_name not in row:
-                row[map_name] = apply(w)
-            return row[map_name]
-
-        return image
+    def image(self, map_name: str, w):
+        row = self.setdefault(w, {})
+        if map_name not in row:
+            row[map_name] = getattr(involution, map_name)(w)
+        return row[map_name]
 
     def profile(self, w, schema: Sequence[str]) -> tuple:
-        row = self[w]
-        for name in schema:
-            if name not in row:
-                row[name] = STATISTICS[name](w)
-        return tuple([row[name] for name in schema])
+        return words.profile(w, schema, self.setdefault(w, {}))
 
     def known(self, map_name: str, w, image, image_maj: int) -> None:
         """Record that the map sends w to `image`, and the MAJ of `image`,
         as a walk has read them."""
-        self[w][map_name] = image
-        self[image]["maj"] = image_maj
+        self.setdefault(w, {})[map_name] = image
+        self.setdefault(image, {})["maj"] = image_maj
 
 
 class _Judge:
@@ -322,10 +282,10 @@ class _Judge:
 
 
 class _Each(_Judge):
-    """Applies `predicate(w, look)` to each word."""
+    """Applies `predicate(memo, w)` to each word."""
 
-    def __init__(self, predicate: Callable, look) -> None:
-        self.step = lambda w: predicate(w, look)
+    def __init__(self, predicate: Callable, memo) -> None:
+        self.step = functools.partial(predicate, memo)
 
 
 class _SwapWalk(_Judge):
@@ -337,16 +297,16 @@ class _SwapWalk(_Judge):
     The chunk is walked by involution pairs.  A word w maps to v, and v is
     profiled and, unless it is w, mapped back.  When w passes, v passes too,
     since exchanging MAJ and STAT is itself an involution on profiles; so v
-    is vouched for, and skipped when the walk reaches it, where the look
+    is vouched for, and skipped when the walk reaches it, where the memo
     learns that v maps to w and the MAJ of w, as the walk read it.  Each
     word is thus mapped and profiled once, and only the vouched words are
     held, with their images and the images' MAJ.  The walk never looks
     back: a word whose image precedes it and that is not vouched for fails,
     since its image does not map back to it."""
 
-    def __init__(self, map_name: str, schema: Sequence[str], look) -> None:
-        self.map_name, self.schema, self.look = map_name, schema, look
-        self.apply, self.profile = look.mapper(map_name), look.profile
+    def __init__(self, map_name: str, schema: Sequence[str], memo) -> None:
+        self.map_name, self.schema, self.memo = map_name, schema, memo
+        self.apply, self.profile = functools.partial(memo.image, map_name), memo.profile
         self.image_schema = _swapped(schema)
         self.columns = [schema.index(name) for name in self.image_schema]
         self.maj = schema.index("maj")
@@ -355,7 +315,7 @@ class _SwapWalk(_Judge):
     def step(self, w) -> Counterexample | None:
         partner = self.vouched.pop(w, None)
         if partner is not None:
-            self.look.known(self.map_name, w, *partner)
+            self.memo.known(self.map_name, w, *partner)
             return None
         schema, profile = self.schema, self.profile
         image = self.apply(w)
@@ -389,8 +349,8 @@ class _CodeSums(_Judge):
     summed once per chunk, whether the chunk meets it as the code of other
     words or as a word of its own.  Only pattern sums are kept."""
 
-    def __init__(self, look) -> None:
-        self.look, self.sums = look, {}
+    def __init__(self, memo) -> None:
+        self.memo, self.sums = memo, {}
 
     def _sum(self, p: Word) -> int:
         if p not in self.sums:
@@ -399,8 +359,8 @@ class _CodeSums(_Judge):
 
     def step(self, w) -> Counterexample | None:
         columns, image = _CODE_SCHEMA[:-1], words.code(w)
-        left = self.look.profile(w, columns) + (self._sum(w) if image == w else _oracle_stat(w),)
-        right = left if image == w else self.look.profile(image, columns) + (self._sum(image),)
+        left = self.memo.profile(w, columns) + (self._sum(w) if image == w else _oracle_stat(w),)
+        right = left if image == w else self.memo.profile(image, columns) + (self._sum(image),)
         if left == right:
             return None
         return _mismatch(w, "coded", image, _CODE_SCHEMA, left, _CODE_SCHEMA, right)
@@ -411,8 +371,8 @@ class _CubeTally(_Judge):
     equal itself with MAJ and STAT exchanged.  The chunk's last word,
     (f, a, ..., a) or (a,), names the cube."""
 
-    def __init__(self, look) -> None:
-        self.profile = look.profile
+    def __init__(self, memo) -> None:
+        self.profile = memo.profile
         self.counts, self.raised, self.last = Counter(), None, None
 
     def step(self, w) -> None:
@@ -444,9 +404,9 @@ class _CubeTally(_Judge):
         )
 
 
-def _pred_switch_sets(p, look):
+def _pred_switch_sets(memo, p):
     """foata_j, uncached, against the descent and inverse descent sets of
-    `words`; nothing is read through `look`."""
+    `words`; nothing is read through `memo`."""
     n = len(p)
     image = foata_j(p)
     want_id = words.inverse_descent_set(p)
@@ -463,11 +423,11 @@ def _pred_switch_sets(p, look):
     )
 
 
-def _maj_sum(p, term: str, value: int, look):
+def _maj_sum(p, term: str, value: int, memo):
     """The counterexample, if any, to MAJ(p) + `term` = (n+1)*des(p) - (F-1).
     des, MAJ and F are read through `STATISTICS`, as the swap checks read
     them, so that the identity also pins those columns."""
-    des, maj, first = look.profile(p, ("des", "maj", "F"))
+    des, maj, first = memo.profile(p, ("des", "maj", "F"))
     lhs = maj + value
     rhs = (len(p) + 1) * des - (first - 1)
     if lhs == rhs:
@@ -479,13 +439,13 @@ def _maj_sum(p, term: str, value: int, look):
     )
 
 
-def _pred_maj_stat_sum(p, look):
-    return _maj_sum(p, "STAT", _oracle_stat(p), look)
+def _pred_maj_stat_sum(memo, p):
+    return _maj_sum(p, "STAT", _oracle_stat(p), memo)
 
 
-def _pred_maj_pair_sum(p, look):
-    (image_maj,) = look.profile(look.mapper("phi")(p), ("maj",))
-    return _maj_sum(p, "MAJ(image)", image_maj, look)
+def _pred_maj_pair_sum(memo, p):
+    (image_maj,) = memo.profile(memo.image("phi", p), ("maj",))
+    return _maj_sum(p, "MAJ(image)", image_maj, memo)
 
 
 def _pred_characterizations(wbar: Word, id_counts: Callable[[int], Counter]):
@@ -531,7 +491,7 @@ def _pred_characterizations(wbar: Word, id_counts: Callable[[int], Counter]):
 class _Characterizations(_Judge):
     """prop-2.4, grouping S_k by inverse descent set once per size k."""
 
-    def __init__(self, look) -> None:
+    def __init__(self, memo) -> None:
         ids = statistic("Id-set")
         self.counts = functools.cache(lambda k: Counter(map(ids, symmetric_group(k))))
 
@@ -568,7 +528,7 @@ def _given(*instances: Word):
 class _Check(NamedTuple):
     summary: str
     chunk: Callable[..., Iterable]
-    start: Callable[..., _Judge]  # a fresh judge of one chunk, given how it reads
+    start: Callable[..., _Judge]  # a fresh judge of one chunk, given its pass's memo
 
 
 _CHECKS: dict[str, _Check] = {
@@ -660,20 +620,17 @@ def _fused(names: Sequence[str], instances: Iterable) -> list[Counterexample | N
                 failures[i] = judge.step(w)
             except Exception as exc:  # a map that raises on an instance fails there
                 failures[i] = _raised(words.format_word(w), exc)
-        live = [(i, judge) for i, judge in live if failures[i] is None]
-        if not live:
-            break
+        if failures.count(None) < len(live):
+            live = [(i, judge) for i, judge in live if failures[i] is None]
+            if not live:
+                break
     for i, judge in live:
         failures[i] = judge.verdict()
     return failures
 
 
 def _run_task(task: _Task) -> list[Counterexample | None]:
-    instances = _CHECKS[task.names[0]].chunk(*task.args)
-    if len(task.names) > 1:
-        return _fused(task.names, instances)
-    alone = _CHECKS[task.names[0]].start(_Direct())
-    return [_first_failure(alone.step, instances) or alone.verdict()]
+    return _fused(task.names, _CHECKS[task.names[0]].chunk(*task.args))
 
 
 def _execute(tasks: list[_Task], jobs: int) -> list[list[Counterexample | None]]:

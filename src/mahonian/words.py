@@ -12,7 +12,8 @@ index (des, MAJ), their inverse counterparts (ides, IMAJ) read off the
 coded permutation, the adjacency count Adj, and STAT, a Mahonian companion
 of MAJ computed in O(n) from des, MAJ and the first letter.  `STATISTICS`
 is the one table of them by name, together with the descent, inverse
-descent and shuffle sets.
+descent and shuffle sets, of which des, MAJ, ides and IMAJ are projections.
+`profile` is the one reader of the table.
 """
 from __future__ import annotations
 
@@ -150,12 +151,6 @@ def descent_set(w: Sequence[int]) -> frozenset[int]:
     return frozenset(i for i in range(1, len(w)) if w[i - 1] > w[i])
 
 
-def descent_data(w: Sequence[int]) -> tuple[frozenset[int], int, int]:
-    """(descent set, des, MAJ); the empty word has none of each."""
-    d = descent_set(w)
-    return d, len(d), sum(d)
-
-
 def inverse_descent_set(w: Sequence[int]) -> frozenset[int]:
     """Values v of the coded word such that v+1 appears before v."""
     if not w:
@@ -163,12 +158,6 @@ def inverse_descent_set(w: Sequence[int]) -> frozenset[int]:
     # order[v - 1] is the position of the letter that codes to v.
     order = sorted(range(len(w)), key=w.__getitem__)
     return frozenset(v for v in range(1, len(w)) if order[v] < order[v - 1])
-
-
-def inverse_descent_data(w: Sequence[int]) -> tuple[frozenset[int], int, int]:
-    """(inverse descent set, ides, IMAJ)."""
-    s = inverse_descent_set(w)
-    return s, len(s), sum(s)
 
 
 def shuffle_set(w: Sequence[int]) -> frozenset[int]:
@@ -213,20 +202,33 @@ def stat(w: Sequence[int]) -> int:
     """
     if not w:
         return 0
-    _, des, maj = descent_data(w)
+    d = descent_set(w)
     below_first = sum(1 for x in w if x < w[0])
-    return (len(w) + 1) * des - below_first - maj
+    return (len(w) + 1) * len(d) - below_first - sum(d)
 
 
-# Every statistic by name, in `StatVector` field order.  Index sets are the
-# frozensets the functions above return.
+@dataclass(frozen=True, slots=True)
+class Projection:
+    """A statistic that is `fn` of another entry of `STATISTICS`, its source,
+    looked up at each read, so that a replaced source is seen through it."""
+
+    source: str
+    fn: Callable[[object], object]
+
+    def __call__(self, w: Sequence[int]) -> object:
+        return self.fn(STATISTICS[self.source](w))
+
+
+# Every statistic by name.  des and MAJ are read off the descent set, ides
+# and IMAJ off the inverse descent set; index sets are the frozensets the
+# functions above return.
 STATISTICS: dict[str, Callable[[Sequence[int]], object]] = {
     "F": lambda w: w[0],
-    "des": lambda w: len(descent_set(w)),
-    "ides": lambda w: len(inverse_descent_set(w)),
+    "des": Projection("D-set", len),
+    "ides": Projection("Id-set", len),
     "adj": adj,
-    "maj": lambda w: sum(descent_set(w)),
-    "imaj": lambda w: sum(inverse_descent_set(w)),
+    "maj": Projection("D-set", sum),
+    "imaj": Projection("Id-set", sum),
     "stat": stat,
     "D-set": descent_set,
     "Id-set": inverse_descent_set,
@@ -264,27 +266,28 @@ def format_statistic(value: object) -> str:
     return format_index_set(value) if isinstance(value, frozenset) else str(value)
 
 
-@dataclass(frozen=True)
-class StatVector:
-    """All seven statistics of a word plus its three index sets."""
+def profile(w: Sequence[int], names: Sequence[str], row: dict | None = None) -> tuple:
+    """The named statistics of one word, read through `STATISTICS`.  `row`
+    keeps every value read, so a projection's source is computed once per
+    word however many projections of it are read.
 
-    first: int
-    des: int
-    ides: int
-    adj: int
-    maj: int
-    imaj: int
-    stat: int
-    d_set: frozenset[int]
-    id_set: frozenset[int]
-    sh_set: frozenset[int]
-
-
-def stat_vector(w: Sequence[int]) -> StatVector:
-    """Bundle every statistic of a nonempty word, computed from scratch."""
-    if not w:
-        raise EmptyInputError("statistics of an empty word are undefined")
-    return StatVector(*(f(w) for f in STATISTICS.values()))
+    >>> profile((2, 1, 1, 2), ("des", "maj", "Id-set", "ides"))
+    (1, 1, frozenset({2}), 1)
+    """
+    if row is None:
+        row = {}
+    values = []
+    for name in names:
+        if name not in row:
+            f = STATISTICS[name]
+            if type(f) is Projection:
+                if f.source not in row:
+                    row[f.source] = STATISTICS[f.source](w)
+                row[name] = f.fn(row[f.source])
+            else:
+                row[name] = f(w)
+        values.append(row[name])
+    return tuple(values)
 
 
 # ------------------------------------------------------------- symmetries

@@ -328,15 +328,9 @@ class TestThinWrapper:
             code, out, _ = run_cli(capsys, "stats", words.format_word(w))
             assert code == 0
             fields = dict(part.split("=", 1) for part in out.split())
-            sv = words.stat_vector(w)
-            assert fields["Adj"] == str(sv.adj)
-            assert fields["des"] == str(sv.des)
-            assert fields["ides"] == str(sv.ides)
-            assert fields["F"] == str(sv.first)
-            assert fields["IMAJ"] == str(sv.imaj)
-            assert fields["MAJ"] == str(sv.maj)
-            assert fields["STAT"] == str(sv.stat)
-            assert fields["Id"] == words.format_index_set(sv.id_set)
+            for name, heading in words.HEADINGS.items():
+                want = words.format_statistic(words.statistic(name)(w))
+                assert fields[heading] == want, (w, name)
 
     def test_map_matches_library(self, capsys):
         rng = random.Random(77)

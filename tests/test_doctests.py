@@ -1,5 +1,6 @@
-"""Keep the usage examples embedded in the module docstrings honest."""
+"""Keep the usage examples in the module docstrings and the README honest."""
 import doctest
+from pathlib import Path
 
 import pytest
 
@@ -24,3 +25,9 @@ import mahonian.words
 def test_doctests(module):
     result = doctest.testmod(module)
     assert result.failed == 0
+
+
+def test_readme_examples():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
+    assert result.attempted > 0 and result.failed == 0

@@ -39,6 +39,12 @@ DOMAIN_KINDS = {
 }
 
 
+def naive_profile(w, schema):
+    """The named statistics of one word, each read afresh through `statistic`,
+    independent of the reader that the checks share."""
+    return tuple(verify.statistic(name)(w) for name in schema)
+
+
 def plant(monkeypatch, target, name, fake):
     """Replace `target.<name>` by `fake` wherever the checks reach it: the
     attribute, and every `words.STATISTICS` entry bound to the same function."""
@@ -667,7 +673,7 @@ class TestInvolutivity:
         schema = {"thm-1.1": verify._ADJ_SCHEMA, "cor-1.5": verify._SEXT_SCHEMA}.get(
             name, verify._SWAP_SCHEMA
         )
-        assert verify.profile(word, schema) == verify.profile(other, schema)
+        assert naive_profile(word, schema) == naive_profile(other, schema)
         monkeypatch.setattr(involution, map_name, _non_injective(map_name))
         assert verify.check(name, **bounds).lines() == lines
 
@@ -701,7 +707,7 @@ def naive_swap_judge(map_name, schema):
         for w in instances:
             try:
                 image = mapper(w)
-                left, right = verify.profile(w, schema), verify.profile(image, swapped)
+                left, right = naive_profile(w, schema), naive_profile(image, swapped)
             except Exception as exc:
                 return verify.Counterexample(
                     fmt(w), "no exception", f"raised {type(exc).__name__}: {exc}"
@@ -762,18 +768,18 @@ class TestPairWalk:
     )
     def test_each_word_is_mapped_and_profiled_once(self, monkeypatch, name, bounds, domain):
         map_name, mapped, profiled = SWAP_CHECKS[name], Counter(), Counter()
-        real_map, real_profile = getattr(involution, map_name), verify.profile
+        real_map, real_profile = getattr(involution, map_name), words.profile
 
         def counted_map(w):
             mapped[tuple(w)] += 1
             return real_map(w)
 
-        def counted_profile(w, schema):
+        def counted_profile(w, schema, row=None):
             profiled[tuple(w)] += 1
-            return real_profile(w, schema)
+            return real_profile(w, schema, row)
 
         monkeypatch.setattr(involution, map_name, counted_map)
-        monkeypatch.setattr(verify, "profile", counted_profile)
+        monkeypatch.setattr(words, "profile", counted_profile)
         assert verify.check(name, **bounds).passed
         assert mapped == profiled == Counter(domain)
 

@@ -1,5 +1,5 @@
 """Core word machinery: parsing, coding/decoding, and the seven statistics."""
-import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -124,34 +124,45 @@ class TestDecode:
             assert len(set(coded)) == len(coded)
 
 
+def descent_data(w):
+    """(descent set, des, MAJ), each read alone."""
+    return words.descent_set(w), words.statistic("des")(w), words.statistic("maj")(w)
+
+
+def inverse_descent_data(w):
+    """(inverse descent set, ides, IMAJ), each read alone."""
+    return words.inverse_descent_set(w), words.statistic("ides")(w), words.statistic("imaj")(w)
+
+
 class TestDescentData:
     def test_worked_example(self):
-        d, des, maj = words.descent_data((4, 3, 4, 4, 2, 1, 6, 5, 1))
+        d, des, maj = descent_data((4, 3, 4, 4, 2, 1, 6, 5, 1))
         assert (d, des, maj) == ({1, 4, 5, 7, 8}, 5, 25)
 
     def test_no_descents(self):
-        assert words.descent_data((1, 1, 2, 2)) == (frozenset(), 0, 0)
-        assert words.descent_data((1, 2, 3, 4, 5)) == (frozenset(), 0, 0)
+        assert descent_data((1, 1, 2, 2)) == (frozenset(), 0, 0)
+        assert descent_data((1, 2, 3, 4, 5)) == (frozenset(), 0, 0)
 
     def test_empty_word_allowed(self):
-        assert words.descent_data(()) == (frozenset(), 0, 0)
+        assert descent_data(()) == (frozenset(), 0, 0)
 
 
 class TestInverseDescentData:
     def test_worked_example(self):
-        idset, ides, imaj = words.inverse_descent_data((4, 3, 4, 4, 2, 1, 6, 5, 1))
+        idset, ides, imaj = inverse_descent_data((4, 3, 4, 4, 2, 1, 6, 5, 1))
         assert (idset, ides, imaj) == ({2, 3, 4, 8}, 4, 17)
 
     def test_repeated_letters(self):
-        _, ides, imaj = words.inverse_descent_data((2, 1, 2, 1))
+        _, ides, imaj = inverse_descent_data((2, 1, 2, 1))
         assert (ides, imaj) == (1, 2)
 
     def test_identity(self):
-        assert words.inverse_descent_data((1, 2, 3, 4)) == (frozenset(), 0, 0)
+        assert inverse_descent_data((1, 2, 3, 4)) == (frozenset(), 0, 0)
 
     def test_empty(self):
-        with pytest.raises(EmptyInputError):
-            words.inverse_descent_data(())
+        for name in ("Id-set", "ides", "imaj"):
+            with pytest.raises(EmptyInputError):
+                words.statistic(name)(())
 
     def test_matches_definition_on_the_coded_word(self):
         for n in range(1, 7):
@@ -225,42 +236,68 @@ class TestStatKernel:
 
 
 class TestStatVector:
+    """A word's statistics read together through `words.profile`."""
+
     @pytest.mark.parametrize("w, row", sorted(CLASS_1122_TABLE.items()))
     def test_class_1122(self, w, row):
-        sv = words.stat_vector(w)
-        assert (sv.adj, sv.des, sv.ides, sv.first, sv.imaj, sv.maj, sv.stat) == row
+        names = ("adj", "des", "ides", "F", "imaj", "maj", "stat")
+        assert words.profile(w, names) == row
 
     def test_worked_example(self):
-        sv = words.stat_vector((5, 4, 6, 7, 3, 1, 9, 8, 2))
-        assert (sv.first, sv.des, sv.maj, sv.stat) == (5, 5, 25, 21)
-        assert sv.id_set == {2, 3, 4, 8}
-        assert sv.sh_set == {1, 2, 4, 6, 8}
+        names = ("F", "des", "maj", "stat", "Id-set", "Sh-set")
+        assert words.profile((5, 4, 6, 7, 3, 1, 9, 8, 2), names) == (
+            5, 5, 25, 21, {2, 3, 4, 8}, {1, 2, 4, 6, 8}
+        )
 
     def test_field_consistency(self):
-        sv = words.stat_vector((2, 1, 1, 2))
-        assert sv.des == len(sv.d_set) and sv.maj == sum(sv.d_set)
-        assert sv.ides == len(sv.id_set) and sv.imaj == sum(sv.id_set)
+        des, maj, d, ides, imaj, idset = words.profile(
+            (2, 1, 1, 2), ("des", "maj", "D-set", "ides", "imaj", "Id-set")
+        )
+        assert des == len(d) and maj == sum(d)
+        assert ides == len(idset) and imaj == sum(idset)
 
     def test_empty(self):
-        with pytest.raises(EmptyInputError):
-            words.stat_vector(())
+        for name in ("ides", "adj", "imaj", "Id-set", "Sh-set"):
+            with pytest.raises(EmptyInputError):
+                words.profile((), (name,))
 
     @given(random_words)
     def test_index_sets_in_range(self, w):
-        sv = words.stat_vector(w)
+        d, idset, sh = words.profile(w, ("D-set", "Id-set", "Sh-set"))
         interior = set(range(1, len(w)))
-        assert sv.d_set <= interior and sv.sh_set <= interior and sv.id_set <= interior
+        assert d <= interior and sh <= interior and idset <= interior
 
     @given(random_words)
     def test_equals_registry_row(self, w):
         row = tuple(f(w) for f in words.STATISTICS.values())
-        assert dataclasses.astuple(words.stat_vector(w)) == row
+        assert words.profile(w, tuple(words.STATISTICS)) == row
 
 
 class TestRegistry:
     def test_verify_reads_the_same_table(self):
         assert verify.STATISTICS is words.STATISTICS
         assert verify.HEADINGS is words.HEADINGS
+
+    def test_the_reader_computes_each_set_once(self, monkeypatch):
+        w, names = (4, 3, 4, 4, 2, 1, 6, 5, 1), tuple(words.STATISTICS)
+        want = tuple(words.statistic(name)(w) for name in names)
+        calls = Counter()
+        for source in ("D-set", "Id-set"):
+            real = words.STATISTICS[source]
+            monkeypatch.setitem(
+                words.STATISTICS, source, lambda w, s=source, f=real: calls.update([s]) or f(w)
+            )
+        row = {}
+        assert words.profile(w, names, row) == want
+        assert words.profile(w, ("imaj", "maj"), row) == (17, 25)
+        assert calls == {"D-set": 1, "Id-set": 1}
+
+    @pytest.mark.parametrize("source, names", [("D-set", ("des", "maj")), ("Id-set", ("ides", "imaj"))])
+    def test_projections_read_a_planted_source(self, monkeypatch, source, names):
+        monkeypatch.setitem(words.STATISTICS, source, lambda w: frozenset({1, 2}))
+        w = (1, 2, 3)
+        assert words.profile(w, names) == (2, 3)
+        assert tuple(words.statistic(name)(w) for name in names) == (2, 3)
 
     @pytest.mark.parametrize("name", ["D-set", "Id-set", "Sh-set"])
     def test_set_statistics_are_frozensets(self, name):
@@ -309,13 +346,13 @@ class TestIdentities:
 
         for n in range(1, 7):
             for p in symmetric_group(n):
-                _, des, maj = words.descent_data(p)
+                _, des, maj = descent_data(p)
                 assert maj + words.stat(p) == (n + 1) * des - (p[0] - 1)
 
     def test_maj_plus_stat_fails_on_raw_words(self):
         # length-4 word with repeated letters where the permutation identity breaks
         w = (2, 1, 2, 1)
-        _, des, maj = words.descent_data(w)
+        _, des, maj = descent_data(w)
         assert maj + words.stat(w) != (len(w) + 1) * des - (w[0] - 1)
 
     def test_coding_preserves_five_statistics(self):
@@ -326,6 +363,6 @@ class TestIdentities:
                 for w in word_cube(m, n):
                     cw = words.code(w)
                     assert words.adj(w) == words.adj(cw)
-                    assert words.descent_data(w) == words.descent_data(cw)
+                    assert descent_data(w) == descent_data(cw)
                     assert words.inverse_descent_set(w) == words.inverse_descent_set(cw)
                     assert words.stat(w) == words.stat(cw)
