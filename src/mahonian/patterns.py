@@ -112,7 +112,7 @@ _Terms = tuple[tuple[tuple[int, ...], tuple[bool, ...]], ...]
 # every use of the same sum reuse the code generated for it.
 @functools.lru_cache(maxsize=64)
 def _counter(terms: _Terms) -> Callable[[Sequence[int]], int]:
-    for letters, glued in terms:
+    for _, glued in terms:
         blocks = glued.count(False) + 1
         if blocks > _MAX_BLOCKS:
             raise BoundTooLargeError(

@@ -27,18 +27,18 @@ runs one pass per chunk for the five S_n checks, for thm-1.2 and eq-2, and
 for cor-1.4 and cor-1.5.  A pass hands each word to every check that has
 not failed yet, and computes each image and statistic of the word and of
 its images once for all of them, reading statistics through
-`words.profile`; lemma-3.5 reads phi from thm-1.3's walk.  Each check keeps
-its own judge and first failure.  A run sends every task to one executor,
-serial or a single process pool that takes the largest tasks first, and
-merges the results in check and chunk order, so every report is identical
-either way.
+`words.profile`; its memo keeps nothing from one word to the next.  Each
+check keeps its own judge and first failure.  A run sends every task to one
+executor, serial or a single process pool that takes the largest tasks
+first, and merges the results in check and chunk order, so every report is
+identical either way.
 """
 from __future__ import annotations
 
 import functools
 import math
 import os
-from collections import Counter
+from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement, count, groupby, islice, product
@@ -106,25 +106,22 @@ def multisets(max_letter: int, max_size: int) -> Iterator[Word]:
         yield from combinations_with_replacement(range(1, max_letter + 1), n)
 
 
-def _characterizations(letters: Iterable[int]) -> tuple[frozenset[Word], frozenset[Word]]:
-    """Compatible permutations computed two independent ways: as the coded
-    image of the rearrangement class, and as the permutations whose inverse
-    descent set, read through `STATISTICS`, stays inside the multiset's run
-    boundaries."""
-    wbar, ids = words.sorted_word(letters), statistic("Id-set")
-    coded = frozenset(words.code(v) for v in rearrangement_class(wbar))
-    bounds = words.block_boundaries(wbar)
-    by_id = frozenset(p for p in symmetric_group(len(wbar)) if ids(p) <= bounds)
-    return coded, by_id
+def _compatible_by_id(wbar: Word) -> frozenset[Word]:
+    """The permutations whose inverse descent set, read through `STATISTICS`,
+    stays inside the run boundaries of the sorted word `wbar`."""
+    ids, bounds = statistic("Id-set"), words.block_boundaries(wbar)
+    return frozenset(p for p in symmetric_group(len(wbar)) if ids(p) <= bounds)
 
 
 def compatible_set(letters: Iterable[int]) -> frozenset[Word]:
-    """Permutations compatible with a multiset, cross-checked both ways."""
-    letters = tuple(letters)
-    if not letters:
+    """Permutations compatible with a multiset, computed two independent ways
+    and cross-checked: as the coded image of the rearrangement class, and by
+    inverse descent set."""
+    wbar = words.sorted_word(letters)
+    if not wbar:
         return frozenset({()})
-    coded, by_id = _characterizations(letters)
-    if coded != by_id:
+    coded = frozenset(words.code(v) for v in rearrangement_class(wbar))
+    if coded != _compatible_by_id(wbar):
         raise InternalInvariantError(
             "coded-image and inverse-descent characterizations disagree"
         )
@@ -245,31 +242,21 @@ def _raised(shown: str, exc: Exception) -> Counterexample:
     )
 
 
-# A judge sees one chunk's words in order.  It reads maps and statistics
-# through the `_Memo` of its pass, given when it starts, which computes each
-# image and statistic of the current word, and of its images, once for every
-# judge of the pass.
+# A judge sees one chunk's words in order.  It is given its pass's memo when
+# it starts: word -> {map or statistic name -> value}, cleared before each
+# word, so that each image and statistic of the word, and of its images, is
+# computed once for every judge of the pass.  Judges read statistics through
+# `words.profile` with the word's row, and maps through `_image`.
 
 
-class _Memo(dict):
-    """A pass's memo of its current word: word -> {map or statistic name ->
-    value}, for the word and for the images its judges reach.  Maps are read
-    from `involution` at each call, so that a patched one is the one checked."""
-
-    def image(self, map_name: str, w):
-        row = self.setdefault(w, {})
-        if map_name not in row:
-            row[map_name] = getattr(involution, map_name)(w)
-        return row[map_name]
-
-    def profile(self, w, schema: Sequence[str]) -> tuple:
-        return words.profile(w, schema, self.setdefault(w, {}))
-
-    def known(self, map_name: str, w, image, image_maj: int) -> None:
-        """Record that the map sends w to `image`, and the MAJ of `image`,
-        as a walk has read them."""
-        self.setdefault(w, {})[map_name] = image
-        self.setdefault(image, {})["maj"] = image_maj
+def _image(memo, map_name: str, w):
+    """The image of w under `involution.<map_name>`, kept in w's row.  The map
+    is read from `involution` at each call, so that a patched one is the one
+    checked."""
+    row = memo[w]
+    if map_name not in row:
+        row[map_name] = getattr(involution, map_name)(w)
+    return row[map_name]
 
 
 class _Judge:
@@ -297,43 +284,38 @@ class _SwapWalk(_Judge):
     The chunk is walked by involution pairs.  A word w maps to v, and v is
     profiled and, unless it is w, mapped back.  When w passes, v passes too,
     since exchanging MAJ and STAT is itself an involution on profiles; so v
-    is vouched for, and skipped when the walk reaches it, where the memo
-    learns that v maps to w and the MAJ of w, as the walk read it.  Each
-    word is thus mapped and profiled once, and only the vouched words are
-    held, with their images and the images' MAJ.  The walk never looks
-    back: a word whose image precedes it and that is not vouched for fails,
-    since its image does not map back to it."""
+    is vouched for, and skipped when the walk reaches it.  Each word is thus
+    mapped and profiled once, and only the vouched words are held.  The walk
+    never looks back: a word whose image precedes it and that is not vouched
+    for fails, since its image does not map back to it."""
 
     def __init__(self, map_name: str, schema: Sequence[str], memo) -> None:
         self.map_name, self.schema, self.memo = map_name, schema, memo
-        self.apply, self.profile = functools.partial(memo.image, map_name), memo.profile
         self.image_schema = _swapped(schema)
         self.columns = [schema.index(name) for name in self.image_schema]
-        self.maj = schema.index("maj")
-        self.vouched: dict[Word, tuple[Word, int]] = {}  # a vouched word -> its image, MAJ
+        self.vouched: set[Word] = set()
 
     def step(self, w) -> Counterexample | None:
-        partner = self.vouched.pop(w, None)
-        if partner is not None:
-            self.memo.known(self.map_name, w, *partner)
+        if w in self.vouched:
+            self.vouched.remove(w)
             return None
-        schema, profile = self.schema, self.profile
-        image = self.apply(w)
-        left = profile(w, schema)
-        image_profile = left if image == w else profile(image, schema)
+        memo, name, schema = self.memo, self.map_name, self.schema
+        image = _image(memo, name, w)
+        left = words.profile(w, schema, memo[w])
+        image_profile = left if image == w else words.profile(image, schema, memo[image])
         right = tuple([image_profile[i] for i in self.columns])
         if left != right:
             return _mismatch(w, "image", image, schema, left, self.image_schema, right)
         if image == w:
             return None
-        name, fmt = self.map_name, words.format_word
+        fmt = words.format_word
         try:
-            back = self.apply(image)
+            back = _image(memo, name, image)
         except Exception as exc:  # the word fails: its image cannot be mapped back
             actual = f"raised {type(exc).__name__}: {exc}"
         else:
             if back == w:
-                self.vouched[image] = (w, left[self.maj])
+                self.vouched.add(image)
                 return None
             actual = f"= {fmt(back)}"
         return Counterexample(
@@ -358,9 +340,9 @@ class _CodeSums(_Judge):
         return self.sums[p]
 
     def step(self, w) -> Counterexample | None:
-        columns, image = _CODE_SCHEMA[:-1], words.code(w)
-        left = self.memo.profile(w, columns) + (self._sum(w) if image == w else _oracle_stat(w),)
-        right = left if image == w else self.memo.profile(image, columns) + (self._sum(image),)
+        memo, profile, columns, image = self.memo, words.profile, _CODE_SCHEMA[:-1], words.code(w)
+        left = profile(w, columns, memo[w]) + (self._sum(w) if image == w else _oracle_stat(w),)
+        right = left if image == w else profile(image, columns, memo[image]) + (self._sum(image),)
         if left == right:
             return None
         return _mismatch(w, "coded", image, _CODE_SCHEMA, left, _CODE_SCHEMA, right)
@@ -372,13 +354,12 @@ class _CubeTally(_Judge):
     (f, a, ..., a) or (a,), names the cube."""
 
     def __init__(self, memo) -> None:
-        self.profile = memo.profile
-        self.counts, self.raised, self.last = Counter(), None, None
+        self.memo, self.counts, self.raised, self.last = memo, Counter(), None, None
 
     def step(self, w) -> None:
         self.last = w
         try:
-            self.counts[self.profile(w, _CUBE_SCHEMA)] += 1
+            self.counts[words.profile(w, _CUBE_SCHEMA, self.memo[w])] += 1
         except Exception as exc:  # the cube fails; read on to its last word to name it
             self.raised = self.raised or exc
 
@@ -387,13 +368,10 @@ class _CubeTally(_Judge):
         cube = f"[{max(w)}]^{len(w)}"
         if self.raised is not None:
             return _raised(cube, self.raised)
-        # The swapped distribution re-indexes the columns of the same one.
-        # Counts are summed, since a schema that repeats a column maps several
-        # tuples onto one key.
+        # The swapped distribution re-indexes the columns of the same one:
+        # the swapped schema permutes the schema, so no two tuples share a key.
         columns = [_CUBE_SCHEMA.index(name) for name in _CUBE_SWAPPED]
-        right = Counter()
-        for t, count in left.items():
-            right[tuple(t[i] for i in columns)] += count
+        right = Counter({tuple(t[i] for i in columns): count for t, count in left.items()})
         if left == right:
             return None
         bad = min(t for t in set(left) | set(right) if left[t] != right[t])
@@ -427,7 +405,7 @@ def _maj_sum(p, term: str, value: int, memo):
     """The counterexample, if any, to MAJ(p) + `term` = (n+1)*des(p) - (F-1).
     des, MAJ and F are read through `STATISTICS`, as the swap checks read
     them, so that the identity also pins those columns."""
-    des, maj, first = memo.profile(p, ("des", "maj", "F"))
+    des, maj, first = words.profile(p, ("des", "maj", "F"), memo[p])
     lhs = maj + value
     rhs = (len(p) + 1) * des - (first - 1)
     if lhs == rhs:
@@ -444,59 +422,54 @@ def _pred_maj_stat_sum(memo, p):
 
 
 def _pred_maj_pair_sum(memo, p):
-    (image_maj,) = memo.profile(memo.image("phi", p), ("maj",))
+    image = _image(memo, "phi", p)
+    (image_maj,) = words.profile(image, ("maj",), memo[image])
     return _maj_sum(p, "MAJ(image)", image_maj, memo)
 
 
-def _pred_characterizations(wbar: Word, id_counts: Callable[[int], Counter]):
-    """Both characterizations agree, shown from counts: the coded words are
-    multinomial many permutations of S_k with Id inside the boundaries, and
-    so many permutations of S_k have Id inside them, read off `id_counts(k)`,
-    the counts of S_k by inverse descent set.  Only a class that disagrees
-    builds both sets, to name the stray permutation."""
-    k, bounds = len(wbar), words.block_boundaries(wbar)
-    ids = statistic("Id-set")
-    coded = {words.code(v) for v in rearrangement_class(wbar)}
-    want = multinomial(wbar)
-    if (
-        len(coded) == want
-        and all(len(p) == k and words.is_permutation(p) and ids(p) <= bounds for p in coded)
-        and sum(count for s, count in id_counts(k).items() if s <= bounds) == want
-    ):
-        return None
-    coded, by_id = _characterizations(wbar)
-    shown = words.format_word(wbar)
-    if coded != by_id:
-        stray = min(coded.symmetric_difference(by_id))
-        side = "coded image" if stray in coded else "inverse-descent side"
-        return Counterexample(
-            input=shown,
-            expected="identical characterizations of the compatible permutations",
-            actual=f"{words.format_word(stray)} appears only in the {side}",
-        )
-    if len(coded) != want:
-        return Counterexample(
-            input=shown,
-            expected=f"{want} compatible permutations (multinomial)",
-            actual=str(len(coded)),
-        )
-    return Counterexample(
-        input=shown,
-        expected=f"{want} distinct coded permutations of 1..{k}, each with Id inside the"
-        f" boundaries {words.format_index_set(bounds)}, and {want} such in S_{k}",
-        actual="the counts disagree, but the rebuilt sets agree",
-    )
-
-
 class _Characterizations(_Judge):
-    """prop-2.4, grouping S_k by inverse descent set once per size k."""
+    """prop-2.4: both characterizations agree, shown from counts.  The coded
+    words are multinomial many permutations of S_k with Id inside the
+    boundaries, and so many permutations of S_k have Id inside them, read off
+    the counts of S_k by inverse descent set, grouped once per size k.  Only
+    a class that disagrees builds the inverse-descent set, to name the stray
+    permutation."""
 
     def __init__(self, memo) -> None:
-        ids = statistic("Id-set")
-        self.counts = functools.cache(lambda k: Counter(map(ids, symmetric_group(k))))
+        self.ids = statistic("Id-set")
+        self.counts = functools.cache(lambda k: Counter(map(self.ids, symmetric_group(k))))
 
     def step(self, wbar: Word) -> Counterexample | None:
-        return _pred_characterizations(wbar, self.counts)
+        k, bounds, ids = len(wbar), words.block_boundaries(wbar), self.ids
+        coded = frozenset(words.code(v) for v in rearrangement_class(wbar))
+        want = multinomial(wbar)
+        if (
+            len(coded) == want
+            and all(len(p) == k and words.is_permutation(p) and ids(p) <= bounds for p in coded)
+            and sum(count for s, count in self.counts(k).items() if s <= bounds) == want
+        ):
+            return None
+        by_id, shown = _compatible_by_id(wbar), words.format_word(wbar)
+        if coded != by_id:
+            stray = min(coded.symmetric_difference(by_id))
+            side = "coded image" if stray in coded else "inverse-descent side"
+            return Counterexample(
+                input=shown,
+                expected="identical characterizations of the compatible permutations",
+                actual=f"{words.format_word(stray)} appears only in the {side}",
+            )
+        if len(coded) != want:
+            return Counterexample(
+                input=shown,
+                expected=f"{want} compatible permutations (multinomial)",
+                actual=str(len(coded)),
+            )
+        return Counterexample(
+            input=shown,
+            expected=f"{want} distinct coded permutations of 1..{k}, each with Id inside the"
+            f" boundaries {words.format_index_set(bounds)}, and {want} such in S_{k}",
+            actual="the counts disagree, but the rebuilt sets agree",
+        )
 
 
 # ------------------------------------------------------------------ chunks
@@ -609,7 +582,7 @@ def _fused(names: Sequence[str], instances: Iterable) -> list[Counterexample | N
     """Each named check's first failure on one chunk, read once: each word
     goes, in check order, to every judge that has not failed, and one memo
     lets them share the word's images and statistics."""
-    memo = _Memo()
+    memo = defaultdict(dict)
     judges = [_CHECKS[name].start(memo) for name in names]
     failures: list[Counterexample | None] = [None] * len(judges)
     live = list(enumerate(judges))

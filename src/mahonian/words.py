@@ -207,6 +207,13 @@ def stat(w: Sequence[int]) -> int:
     return (len(w) + 1) * len(d) - below_first - sum(d)
 
 
+def first_letter(w: Sequence[int]) -> int:
+    """F, the first letter."""
+    if not w:
+        raise EmptyInputError("F of an empty word is undefined")
+    return w[0]
+
+
 @dataclass(frozen=True, slots=True)
 class Projection:
     """A statistic that is `fn` of another entry of `STATISTICS`, its source,
@@ -223,7 +230,7 @@ class Projection:
 # and IMAJ off the inverse descent set; index sets are the frozensets the
 # functions above return.
 STATISTICS: dict[str, Callable[[Sequence[int]], object]] = {
-    "F": lambda w: w[0],
+    "F": first_letter,
     "des": Projection("D-set", len),
     "ides": Projection("Id-set", len),
     "adj": adj,

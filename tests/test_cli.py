@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -416,3 +417,32 @@ def test_module_entry_point():
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
     )
     assert proc.returncode == 0 and proc.stdout == "314562\n"
+
+
+def _readme_transcript() -> list[tuple[str, list[str]]]:
+    """Each `$ mahonian ...` command of the README's "Command line" block that
+    shows output, with its trailing comment dropped, and the lines below it."""
+    section = (ROOT / "README.md").read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    transcript = []
+    for line in block.splitlines():
+        if line.startswith("$ mahonian "):
+            transcript.append((line[2:].split("#", 1)[0].strip(), []))
+        elif line and transcript:
+            transcript[-1][1].append(line)
+    return [(command, shown) for command, shown in transcript if shown]
+
+
+README_TRANSCRIPT = _readme_transcript()
+
+
+def test_the_readme_transcript_shows_nine_outputs():
+    assert len(README_TRANSCRIPT) == 9
+
+
+@pytest.mark.parametrize("command, shown", README_TRANSCRIPT, ids=[c for c, _ in README_TRANSCRIPT])
+def test_readme_transcript(capsys, command, shown):
+    """The README shows TSV with spaces, so lines are compared split on whitespace."""
+    code, out, _ = run_cli(capsys, *shlex.split(command)[1:])
+    assert code == 0
+    assert [line.split() for line in out.splitlines()] == [line.split() for line in shown]

@@ -989,7 +989,7 @@ PLANTED = {
 
 
 class TestFusedPass:
-    def test_each_word_is_mapped_once_per_map(self, monkeypatch):
+    def test_map_calls_are_shared_only_within_a_word(self, monkeypatch):
         calls = Counter()
         for name in ("phi", "phi_on_class"):
             real = getattr(involution, name)
@@ -997,21 +997,29 @@ class TestFusedPass:
                 involution, name, lambda w, real=real, name=name: calls.update([name]) or real(w)
             )
         assert all(r.passed for r in verify.run_all(n=6, alphabet=3))
-        # S_1..S_6 has 873 permutations and the classes of [3]^<=6 have 1,092
-        # words; phi_on_class maps through phi.  Check by check, each is twice.
-        assert calls == {"phi": 873 + 1_092, "phi_on_class": 1_092}
+        # S_1..S_6 has 873 permutations, 369 of them vouched for by thm-1.3's
+        # walk, which lemma-3.5 maps again; the classes of [3]^<=6 have 1,092
+        # words, each mapped once for cor-1.4 and cor-1.5, and phi_on_class
+        # maps through phi.
+        assert calls == {"phi": 873 + 369 + 1_092, "phi_on_class": 1_092}
 
-    def test_lemma_3_5_reads_the_maj_that_thm_1_3_read(self, monkeypatch):
-        calls = Counter()
-        real = words.STATISTICS["maj"]
-        monkeypatch.setitem(words.STATISTICS, "maj", lambda w: calls.update([w]) or real(w))
-        sn = ("thm-1.1", "thm-1.3", "lemma-3.1", "lemma-3.4", "lemma-3.5")
-        counted = []
-        for names in (sn, sn[:-1]):
-            calls.clear()
-            assert verify._fused(names, verify._perm_chunk(6, 3)) == [None] * len(names)
-            counted.append(sum(calls.values()))
-        assert counted[0] == counted[1] == 216
+    def test_the_memo_holds_only_the_word_and_its_images(self, monkeypatch):
+        held = {}
+
+        class Spy(verify._Judge):
+            def __init__(self, memo):
+                self.memo = memo
+
+            def step(self, w):
+                held[w] = set(self.memo)
+
+        monkeypatch.setitem(verify._CHECKS, "spy", verify._Check("", verify._perm_chunk, Spy))
+        names = ("thm-1.1", "thm-1.3", "lemma-3.1", "lemma-3.4", "lemma-3.5", "spy")
+        assert verify._fused(names, verify._perm_chunk(6, 3)) == [None] * len(names)
+        assert list(held) == list(verify._perm_chunk(6, 3))
+        for w, keys in held.items():
+            assert w in keys and keys <= {w, involution.phi(w), involution.burstein_p(w)}, w
+        assert max(map(len, held.values())) == 3
 
     @pytest.mark.parametrize("fault", PLANTED)
     def test_reports_equal_each_check_run_alone(self, monkeypatch, fault):

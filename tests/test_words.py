@@ -257,9 +257,10 @@ class TestStatVector:
         assert ides == len(idset) and imaj == sum(idset)
 
     def test_empty(self):
-        for name in ("ides", "adj", "imaj", "Id-set", "Sh-set"):
+        for name in ("ides", "adj", "imaj", "Id-set", "Sh-set", "F"):
             with pytest.raises(EmptyInputError):
                 words.profile((), (name,))
+        assert words.profile((), ("des", "maj", "stat", "D-set")) == (0, 0, 0, frozenset())
 
     @given(random_words)
     def test_index_sets_in_range(self, w):
