@@ -5,20 +5,22 @@ Every nonempty permutation splits into a defining triple: the subword of
 letters above its first letter (top), the subword below it (bottom), and
 the shuffle set recording where the word crosses that threshold.  The
 triple determines the permutation: the shuffle set cuts positions 1..n into
-blocks that alternate high/low starting high, and the blocks are filled
-from the first letter followed by the top subword, respectively the bottom
-subword.
+blocks that alternate high/low starting high, filled from the first letter
+followed by the top subword, respectively from the bottom subword.
 
-`phi` and `burstein_p` are one map on triples: apply a subword involution
+`phi` and `burstein_p` are defined on triples: apply a subword involution
 to the standardized top and to the bottom, and reflect the shuffle set.
 `phi` applies tableau switching; it fixes des, the inverse descent set and
 the first letter while swapping MAJ and STAT.  `burstein_p` applies
 reverse-complement and fixes Adj instead of the inverse descent set.  Both
 transfer to a rearrangement class of words by coding, acting, and decoding.
-
 `decompose`, `transform_shuffle` and `recompose` state that definition and
-are the reference the maps are tested against; the maps themselves act on
-the permutation directly (`_triple_map`) and build no triple.
+are the reference the maps are tested against.  The maps act on p itself:
+reflecting the shuffle set reverses the high/low pattern of p_2..p_n, so the
+image is t = p_1 and then, for each x of p_n, ..., p_2, the next letter of
+the switched top (plus t) if x > t, else of the switched bottom.
+Reverse-complement reads a subword backwards, as this walk does, so
+`burstein_p` sends x to its complement in t+1..n or 1..t-1: n+1+t-x or t-x.
 
 A sweep meets the same few standardized subwords many times (the
 permutations of size at most 7 have 874 of them), so `phi` switches them
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import tableaux
 from .errors import EmptyInputError, InvalidTripleError
@@ -41,8 +43,14 @@ from .words import Word, check_permutation, code, decode, shuffle_set
 
 # 1,024 entries hold all 874 subwords of permutations of size <= 7.  A
 # bigger memo helps little at n = 9 but holds more long subwords: fresh
-# 16-48-letter ones cost about 0.4 MB at this size and 4 MB at 8,192.
-_switch = functools.lru_cache(maxsize=1024)(tableaux._foata_j)
+# 16-48-letter ones cost about 0.4 MB at this size and 4 MB at 8,192.  An
+# image is checked once, when computed; a refusal is not cached.
+@functools.lru_cache(maxsize=1024)
+def _switch(w: Word) -> Word:
+    image = tableaux._foata_j(w)
+    if sorted(image) != list(range(1, len(w) + 1)):
+        raise InvalidTripleError("subword images must be permutations of their letters")
+    return image
 
 
 @dataclass(frozen=True)
@@ -129,43 +137,35 @@ def transform_shuffle(shuffle: Iterable[int], n: int) -> frozenset[int]:
     return image | {1} if len(cuts) % 2 == 1 else image
 
 
-def _triple_map(p: Sequence[int], g: Callable[[Word], Word]) -> Word:
-    """Apply `g` to both subwords and reflect the shuffle set, on `p` itself.
-
-    Position i is high when p_i >= t = p_1.  The reflected shuffle set
-    reverses the high/low pattern of positions 2..n, so the image is t and
-    then, for each x of p[:0:-1], the next letter of g(top - t) plus t if x
-    is high, else the next letter of g(bottom).  Both images are checked
-    before any filling, as `recompose` checks a triple.
-    """
-    check_permutation(p)
-    if not p:
-        raise EmptyInputError("cannot act on an empty permutation")
-    t = p[0]
-    top = g(tuple(x - t for x in p if x > t))
-    bottom = g(tuple(x for x in p if x < t))
-    if sorted(top) != list(range(1, len(p) - t + 1)) or sorted(bottom) != list(range(1, t)):
-        raise InvalidTripleError("subword images must be permutations of their letters")
-    highs, lows = iter(top), iter(bottom)
-    return (t, *[next(highs) + t if x > t else next(lows) for x in p[:0:-1]])
-
-
 def phi(p: Sequence[int]) -> Word:
     """Involution swapping MAJ and STAT while fixing des, Id, and the first letter.
 
     >>> phi((5, 4, 6, 7, 3, 1, 9, 8, 2))
     (5, 1, 9, 6, 4, 3, 7, 8, 2)
     """
-    return _triple_map(p, _switch)
+    check_permutation(p)
+    if not p:
+        raise EmptyInputError("cannot act on an empty permutation")
+    t = p[0]
+    highs = iter(_switch(tuple(x - t for x in p if x > t)))
+    lows = iter(_switch(tuple(x for x in p if x < t)))
+    return (t, *[next(highs) + t if x > t else next(lows) for x in p[:0:-1]])
 
 
 def burstein_p(p: Sequence[int]) -> Word:
     """Involution swapping MAJ and STAT while fixing Adj, des, and the first letter.
 
-    Same shuffle-set reflection as `phi`, with reverse-complement acting on
-    the subwords instead of tableau switching.
+    `phi`'s walk with reverse-complement in place of switching: t = p_1,
+    then p_n, ..., p_2, each complemented in t+1..n or in 1..t-1.
+
+    >>> burstein_p((2, 3, 1))
+    (2, 1, 3)
     """
-    return _triple_map(p, lambda w: tuple(len(w) + 1 - x for x in reversed(w)))
+    check_permutation(p)
+    if not p:
+        raise EmptyInputError("cannot act on an empty permutation")
+    t, high = p[0], len(p) + 1 + p[0]
+    return (t, *[high - x if x > t else t - x for x in p[:0:-1]])
 
 
 def phi_on_class(v: Sequence[int]) -> Word:

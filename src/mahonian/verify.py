@@ -468,7 +468,7 @@ class _Characterizations(_Judge):
             input=shown,
             expected=f"{want} distinct coded permutations of 1..{k}, each with Id inside the"
             f" boundaries {words.format_index_set(bounds)}, and {want} such in S_{k}",
-            actual="the counts disagree, but the rebuilt sets agree",
+            actual="the counts disagree, but the coded and inverse-descent sets agree",
         )
 
 

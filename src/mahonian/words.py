@@ -202,7 +202,7 @@ def stat(w: Sequence[int]) -> int:
     """
     if not w:
         return 0
-    d = descent_set(w)
+    d = [i for i in range(1, len(w)) if w[i - 1] > w[i]]
     below_first = sum(1 for x in w if x < w[0])
     return (len(w) + 1) * len(d) - below_first - sum(d)
 

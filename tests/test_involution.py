@@ -197,6 +197,11 @@ class TestBursteinP:
         with pytest.raises(EmptyInputError):
             burstein_p(())
 
+    @pytest.mark.parametrize("p", [(2, 2, 1), (1, 3), (2.0, 1.0), (True,)])
+    def test_rejects_non_permutation(self, p):
+        with pytest.raises(ValueError):
+            burstein_p(p)
+
 
 def reference_triple_map(p, g):
     """Act by `g` on the triple through the public coding maps."""
@@ -209,7 +214,7 @@ def reference_triple_map(p, g):
     "mapper, g", [(phi, foata_j), (burstein_p, words.reverse_complement)]
 )
 def test_maps_equal_the_reference_triple_composition(mapper, g):
-    for n in range(1, 7):
+    for n in range(1, 9):
         for p in symmetric_group(n):
             assert mapper(p) == reference_triple_map(p, g), p
 
@@ -251,7 +256,7 @@ class TestPhiOnClass:
 
 
 def uncached_phi(p):
-    return involution._triple_map(p, tableaux._foata_j)
+    return reference_triple_map(p, tableaux._foata_j)
 
 
 class TestSwitchMemo:
@@ -338,9 +343,13 @@ class TestDirectAction:
         ],
     )
     def test_a_wrong_switch_fails_closed(self, monkeypatch, capsys, planted):
-        monkeypatch.setattr(involution, "_switch", planted)
-        with pytest.raises(InvalidTripleError):
-            phi((1, 2, 3, 4))
+        """The switch is planted beneath the memo, which checks each image
+        once and stores no refusal, so every call fails again."""
+        monkeypatch.setattr(tableaux, "_foata_j", planted)
+        involution._switch.cache_clear()
+        for _ in range(2):
+            with pytest.raises(InvalidTripleError):
+                phi((1, 2, 3, 4))
         assert cli.main(["verify", "thm-1.3", "--n", "4"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines[:2] == ["FAIL thm-1.3 (S_4): 24 instances", "    input:    1234"]

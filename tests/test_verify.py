@@ -469,7 +469,8 @@ class TestCheck:
                     "    input:    1",
                     "    expected: 1 distinct coded permutations of 1..1, each with Id inside the"
                     " boundaries {}, and 1 such in S_1",
-                    "    actual:   the counts disagree, but the rebuilt sets agree",
+                    "    actual:   the counts disagree, but the coded and inverse-descent"
+                    " sets agree",
                 ],
             ),
         ],
