@@ -3,9 +3,9 @@ Command-line interface.
 
 Subcommands: stats, map, pattern, rsk, table, verify.  Data goes to
 standard output, diagnostics to standard error.  Exit codes: 0 success (or
-all checks verified), 1 a check found a counterexample (a map that raised
-on an instance counts as one), 2 usage or parse error.  Every subcommand is
-a thin wrapper over the library.
+all checks verified), 1 a counterexample (a map that raised on an instance
+counts as one) or a broken internal invariant, 2 usage or parse error.
+Every subcommand is a thin wrapper over the library.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import sys
 from typing import Sequence
 
 from . import involution, patterns, tableaux, verify, words
-from .errors import EmptyInputError, refuse_over_cap
+from .errors import EmptyInputError, InternalInvariantError, refuse_over_cap
 
 # Table column order: Adj, des, ides, F, IMAJ, MAJ, STAT.
 DEFAULT_SCHEMA = ("adj", "des", "ides", "F", "imaj", "maj", "stat")
@@ -210,6 +210,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalInvariantError as exc:  # a fault of the library, not of the input
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
 
 
 def run() -> None:

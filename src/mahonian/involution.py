@@ -36,9 +36,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import tableaux
-from .errors import EmptyInputError, InvalidTripleError
+from .errors import EmptyInputError, InternalInvariantError, InvalidTripleError
 from .tableaux import foata_j  # foata_j stays importable from here
-from .words import Word, check_permutation, code, decode, shuffle_set
+from .words import Word, check_permutation, code, decode, format_word, shuffle_set
 
 
 # 1,024 entries hold all 874 subwords of permutations of size <= 7.  A
@@ -171,12 +171,14 @@ def burstein_p(p: Sequence[int]) -> Word:
 def phi_on_class(v: Sequence[int]) -> Word:
     """Transfer `phi` to the rearrangement class of a word: code, act, decode.
 
-    Well-defined because `phi` preserves the inverse descent set, so the
-    image stays compatible with the word's multiset.
+    Well-defined since `phi` keeps Id, so its image stays compatible; the word
+    is validated once, by `phi`, and an image that `decode` refuses is a fault.
 
     >>> phi_on_class((4, 3, 4, 4, 2, 1, 6, 5, 1))
     (4, 1, 6, 4, 3, 2, 4, 5, 1)
     """
-    if not v:
-        raise EmptyInputError("cannot act on an empty word")
-    return decode(phi(code(v)), v)
+    image = phi(code(v))  # code(()) raises EmptyInputError
+    try:
+        return decode(image, v)
+    except ValueError as exc:  # code(v) is compatible and phi keeps Id
+        raise InternalInvariantError(f"phi sends the code of {format_word(v)} to {image}; {exc}")

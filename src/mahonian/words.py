@@ -128,20 +128,25 @@ def decode(p: Sequence[int], letters: Iterable[int]) -> Word:
     """Invert the coding map: reletter `p` by the sorted letters of a multiset.
 
     Defined only for permutations compatible with the multiset, i.e. those
-    whose inverse descent set is contained in the multiset's run boundaries.
+    whose inverse descent set lies in its run boundaries: those `code` gives back.
 
     >>> decode((3, 1, 4, 5, 6, 2), (2, 1, 2, 2, 3, 1))
     (2, 1, 2, 2, 3, 1)
+    >>> decode((2, 1), (1, 1))
+    Traceback (most recent call last):
+    mahonian.errors.NotCompatibleError: (2, 1) is not compatible with the class of 11
     """
-    check_permutation(p)
     wbar = sorted_word(letters)
+    try:  # a letter that is not an int is left out, so the round trip fails
+        out = tuple([wbar[x - 1] for x in p if type(x) is int])
+        if len(p) == len(wbar) and (not p or code(out) == tuple(p)):
+            return out
+    except (IndexError, EmptyInputError):  # a letter past the end of wbar, or none left
+        pass
+    check_permutation(p)
     if len(p) != len(wbar):
         raise SizeMismatchError(f"permutation size {len(p)} != multiset size {len(wbar)}")
-    if p and not inverse_descent_set(p) <= block_boundaries(wbar):
-        raise NotCompatibleError(
-            f"{tuple(p)} is not compatible with the class of {format_word(wbar)}"
-        )
-    return tuple(wbar[v - 1] for v in p)
+    raise NotCompatibleError(f"{tuple(p)} is not compatible with the class of {format_word(wbar)}")
 
 
 # ------------------------------------------------------------- statistics

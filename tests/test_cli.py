@@ -278,6 +278,17 @@ class TestVerify:
         assert out.splitlines()[0] == "FAIL thm-1.3 (S_3): 6 instances"
         assert "213" in out
 
+    def test_a_broken_phi_is_an_internal_fault_not_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(involution, "phi", lambda p: tuple(sorted(p, reverse=True)))
+        code, out, err = run_cli(capsys, "map", "phi", "112")
+        assert (code, out) == (1, "")
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+        assert "112" in err and "Traceback" not in err
+        code, out, _ = run_cli(capsys, "verify", "cor-1.4", "--word", "112")
+        assert code == 1
+        assert out.splitlines()[:2] == ["FAIL cor-1.4 (R(112)): 3 instances", "    input:    112"]
+        assert "raised InternalInvariantError" in out
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_raising_map_is_a_counterexample(self, capsys, monkeypatch, jobs):
         real_phi = involution.phi

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mahonian import cli, involution, tableaux, verify, words
-from mahonian.errors import EmptyInputError, InvalidTripleError
+from mahonian.errors import EmptyInputError, InternalInvariantError, InvalidTripleError
 from mahonian.involution import (
     ShuffleTriple,
     burstein_p,
@@ -244,6 +244,28 @@ class TestPhiOnClass:
         for letters in multisets(3, 5):
             for v in rearrangement_class(letters):
                 assert phi_on_class(phi_on_class(v)) == v
+
+    def test_the_image_is_not_checked_again(self, monkeypatch):
+        """`decode`'s round trip is the one check of the image: no call goes
+        through `words` to the checks it replaced.  `phi`'s own input check
+        is bound in `involution` and is not counted."""
+        calls = Counter()
+        for name in ("inverse_descent_set", "block_boundaries", "check_permutation"):
+
+            def counted(*args, name=name, real=getattr(words, name)):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(words, name, counted)
+        for letters in multisets(3, 5):
+            for v in rearrangement_class(letters):
+                phi_on_class(v)
+        assert calls == Counter()
+
+    def test_a_phi_that_breaks_compatibility_is_an_internal_fault(self, monkeypatch):
+        monkeypatch.setattr(involution, "phi", lambda p: tuple(sorted(p, reverse=True)))
+        with pytest.raises(InternalInvariantError, match=r"112 to \(3, 2, 1\)"):
+            phi_on_class((1, 1, 2))
 
     @given(random_words)
     def test_preserves_multiset(self, v):

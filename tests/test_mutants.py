@@ -126,7 +126,7 @@ MUTANTS = [
     row(
         "code ranks ties right to left",
         wrong(words, "code", code_ties_right_to_left),
-        ("thm-1.2", "eq-2", "prop-2.4"),
+        ("thm-1.2", "cor-1.4", "cor-1.5", "eq-2", "prop-2.4"),
     ),
     row("stat is off by the first letter", wrong(words, "stat", stat_off_by_first_letter), SWAPS),
     row(

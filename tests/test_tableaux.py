@@ -147,7 +147,7 @@ class TestFoataJ:
         (tableaux, "foata_j", 1),
         (involution, "phi", 1),
         (involution, "burstein_p", 1),
-        (involution, "phi_on_class", 2),  # the second is `decode`'s
+        (involution, "phi_on_class", 1),
     ],
 )
 def test_kernel_checks_its_input_once(monkeypatch, module, name, checks):

@@ -108,9 +108,35 @@ class TestDecode:
         with pytest.raises(NotCompatibleError):
             words.decode((2, 1), (1, 1))
 
-    def test_rejects_non_permutation(self):
-        with pytest.raises(ValueError):
-            words.decode((1, 1), (1, 2))
+    @pytest.mark.parametrize(
+        "p, letters",
+        [
+            ((1, 1), (1, 2)),
+            ((0, 1), (1, 2)),
+            ((1, 3), (1, 2)),
+            ((True, 2), (1, 2)),
+            ((1.0, 2.0), (1, 2)),
+            ((1, 1), (1, 2, 3)),
+        ],
+        ids=["repeated", "zero", "past-n", "bool", "float", "longer-multiset"],
+    )
+    def test_rejects_non_permutation(self, p, letters):
+        # A plain ValueError, raised before the sizes are compared.
+        with pytest.raises(ValueError, match="not a permutation") as info:
+            words.decode(p, letters)
+        assert type(info.value) is ValueError
+
+    def test_decodes_exactly_the_compatible_permutations(self):
+        from mahonian.verify import multisets, symmetric_group
+
+        for letters in multisets(3, 5):
+            bounds = words.block_boundaries(letters)
+            for p in symmetric_group(len(letters)):
+                if words.inverse_descent_set(p) <= bounds:
+                    assert words.decode(p, letters) == tuple(letters[x - 1] for x in p)
+                else:
+                    with pytest.raises(NotCompatibleError):
+                        words.decode(p, letters)
 
     @given(random_words)
     def test_roundtrip(self, w):
