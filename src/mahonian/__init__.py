@@ -37,7 +37,6 @@ from .verify import (
     CheckReport,
     Counterexample,
     check,
-    compatible_set,
     joint_distribution,
     multinomial,
     rearrangement_class,
@@ -50,7 +49,6 @@ from .words import (
     adj,
     block_boundaries,
     code,
-    complement,
     decode,
     descent_set,
     format_index_set,
@@ -58,13 +56,11 @@ from .words import (
     inverse_descent_set,
     is_permutation,
     parse_word,
-    reverse,
     reverse_complement,
     shuffle_set,
     sorted_word,
     stat,
     statistic,
-    symmetries,
 )
 
 __version__ = "0.1.0"

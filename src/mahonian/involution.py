@@ -24,7 +24,10 @@ Reverse-complement reads a subword backwards, as this walk does, so
 
 A sweep meets the same few standardized subwords many times (the
 permutations of size at most 7 have 874 of them), so `phi` switches them
-through `_switch`, which keeps the switched forms of up to 1,024 subwords.
+through `_switch`, which keeps the switched forms of up to 1,024 subwords of
+at most 10 letters: every subword of a permutation of up to 11 letters.  A
+longer subword is rarely met again, and 1,024 of them would hold megabytes,
+so it is switched and checked by `_switched` each time.
 The public `foata_j` stays uncached, so lemma-3.1 checks the kernel from
 scratch and never reads what `phi` stored.  The memo keys by value, where
 1 == 1.0 == True, which is why the maps admit only int letters.
@@ -41,16 +44,20 @@ from .tableaux import foata_j  # foata_j stays importable from here
 from .words import Word, check_permutation, code, decode, format_word, shuffle_set
 
 
-# 1,024 entries hold all 874 subwords of permutations of size <= 7.  A
-# bigger memo helps little at n = 9 but holds more long subwords: fresh
-# 16-48-letter ones cost about 0.4 MB at this size and 4 MB at 8,192.  An
-# image is checked once, when computed; a refusal is not cached.
-@functools.lru_cache(maxsize=1024)
-def _switch(w: Word) -> Word:
+def _switched(w: Word) -> Word:
+    """The switched form of a standardized subword, checked to be a permutation."""
     image = tableaux._foata_j(w)
     if sorted(image) != list(range(1, len(w) + 1)):
         raise InvalidTripleError("subword images must be permutations of their letters")
     return image
+
+
+# 1,024 entries hold all 874 subwords of permutations of size <= 7; a bigger
+# memo helps little at n = 9.  With subwords of at most _MEMO_LETTERS it
+# stays under a megabyte.  An image is checked once, when computed; a
+# refusal is not cached.
+_MEMO_LETTERS = 10
+_switch = functools.lru_cache(maxsize=1024)(_switched)
 
 
 @dataclass(frozen=True)
@@ -147,8 +154,10 @@ def phi(p: Sequence[int]) -> Word:
     if not p:
         raise EmptyInputError("cannot act on an empty permutation")
     t = p[0]
-    highs = iter(_switch(tuple(x - t for x in p if x > t)))
-    lows = iter(_switch(tuple(x for x in p if x < t)))
+    top = tuple(x - t for x in p if x > t)
+    bottom = tuple(x for x in p if x < t)
+    highs = iter(_switch(top) if len(top) <= _MEMO_LETTERS else _switched(top))
+    lows = iter(_switch(bottom) if len(bottom) <= _MEMO_LETTERS else _switched(bottom))
     return (t, *[next(highs) + t if x > t else next(lows) for x in p[:0:-1]])
 
 

@@ -48,7 +48,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from . import involution, patterns, words
 from .errors import (
     WRITTEN_COUNT_LIMIT,
-    InternalInvariantError,
     UnknownNameError,
     refuse_over_cap,
 )
@@ -111,21 +110,6 @@ def _compatible_by_id(wbar: Word) -> frozenset[Word]:
     stays inside the run boundaries of the sorted word `wbar`."""
     ids, bounds = statistic("Id-set"), words.block_boundaries(wbar)
     return frozenset(p for p in symmetric_group(len(wbar)) if ids(p) <= bounds)
-
-
-def compatible_set(letters: Iterable[int]) -> frozenset[Word]:
-    """Permutations compatible with a multiset, computed two independent ways
-    and cross-checked: as the coded image of the rearrangement class, and by
-    inverse descent set."""
-    wbar = words.sorted_word(letters)
-    if not wbar:
-        return frozenset({()})
-    coded = frozenset(words.code(v) for v in rearrangement_class(wbar))
-    if coded != _compatible_by_id(wbar):
-        raise InternalInvariantError(
-            "coded-image and inverse-descent characterizations disagree"
-        )
-    return coded
 
 
 # --------------------------------------------------------------- statistics

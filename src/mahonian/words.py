@@ -302,25 +302,10 @@ def profile(w: Sequence[int], names: Sequence[str], row: dict | None = None) -> 
     return tuple(values)
 
 
-# ------------------------------------------------------------- symmetries
-
-def reverse(p: Sequence[int]) -> Word:
-    return tuple(reversed(p))
-
-
-def complement(p: Sequence[int]) -> Word:
-    """Replace each value x of a permutation by n+1-x."""
-    check_permutation(p)
-    n = len(p)
-    return tuple(n + 1 - x for x in p)
-
+# ------------------------------------------------------- reverse-complement
 
 def reverse_complement(p: Sequence[int]) -> Word:
-    """Reversal followed by complement (their order does not matter)."""
-    return complement(reverse(p))
-
-
-def symmetries(p: Sequence[int]) -> tuple[Word, Word, Word]:
-    """(reversal, complement, reverse-complement) of a permutation."""
+    """Reversal and complement x -> n+1-x of a permutation, in either order."""
     check_permutation(p)
-    return reverse(p), complement(p), reverse_complement(p)
+    n = len(p)
+    return tuple(n + 1 - x for x in reversed(p))

@@ -310,6 +310,26 @@ class TestSwitchMemo:
     def test_bound(self):
         assert involution._switch.cache_info().maxsize == 1024
 
+    def test_long_subwords_are_not_memoized(self):
+        """A 40-letter permutation starting at 20 has subwords of 19 and 20
+        letters, past the memo's 10."""
+        rest = list(range(1, 20)) + list(range(21, 41))
+        random.Random(20261019).shuffle(rest)
+        p = (20, *rest)
+        phi((3, 1, 2, 4, 5))
+        before = involution._switch.cache_info().currsize
+        assert phi(p) == uncached_phi(p)
+        assert involution._switch.cache_info().currsize == before
+
+    def test_a_wrong_switch_fails_closed_without_the_memo(self, monkeypatch):
+        """A 24-letter permutation starting at 12 has subwords of 11 and 12
+        letters, switched without the memo and still checked."""
+        monkeypatch.setattr(tableaux, "_foata_j", lambda w: w[:1] * len(w))
+        p = (12, *range(1, 12), *range(13, 25))
+        with pytest.raises(InvalidTripleError):
+            phi(p)
+        assert involution._switch.cache_info().currsize == 0
+
     def test_foata_j_check_never_reads_the_memo(self):
         phi((3, 1, 2, 4, 5))
         before = involution._switch.cache_info()
