@@ -28,9 +28,11 @@ through `_switch`, which keeps the switched forms of up to 1,024 subwords of
 at most 10 letters: every subword of a permutation of up to 11 letters.  A
 longer subword is rarely met again, and 1,024 of them would hold megabytes,
 so it is switched and checked by `_switched` each time.
-The public `foata_j` stays uncached, so lemma-3.1 checks the kernel from
-scratch and never reads what `phi` stored.  The memo keys by value, where
-1 == 1.0 == True, which is why the maps admit only int letters.
+lemma-3.1 may read evacuations `phi` stored in `tableaux`, but an entry is
+a function of Q alone, computed by the `_insert` lemma-3.1 would run, and
+lemma-3.1 computes each image's Id and D from scratch: a wrong entry that
+moves a descent FAILs it at the first permutation with that Q.  `_switch`
+keys by value, where 1 == 1.0 == True, so the maps admit only int letters.
 """
 from __future__ import annotations
 

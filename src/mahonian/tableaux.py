@@ -10,7 +10,11 @@ same-shape standard tableaux with n cells.
 of a permutation with the recording tableau of its reverse-complement and
 invert.  It preserves the inverse descent set and reflects the descent set
 (i goes to n-i), which is exactly what the involutions in
-:mod:`mahonian.involution` need from it.
+:mod:`mahonian.involution` need from it.  As Q(rc(p)) = evac(Q(p))
+(Schützenberger; Stanley, EC2, App. A1), `foata_j` inserts p once and reads
+rc(p)'s recording rows from `_EVACUATED`, keyed by p's.  A miss inserts
+rc(p) and, for p of at most 10 letters, stores the rows: at most the 13,231
+standard tableaux of 1..10 cells (a few MB), each a function of Q(p) alone.
 
 `Tableau` objects exist only at the public `rsk`/`inverse_rsk` boundary.
 Inside, a tableau pair is the insertion rows as lists together with the
@@ -25,6 +29,10 @@ from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError, NotStandardError, ShapeMismatchError
 from .words import Word, check_permutation
+
+# Q(rc(p)) by row, keyed by Q(p) by row; tuples, which `_unbump` cannot consume.
+_EVACUATED_LETTERS = 10
+_EVACUATED: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
 @dataclass(frozen=True)
@@ -149,12 +157,17 @@ def foata_j(p: Sequence[int]) -> Word:
 
 def _foata_j(p: Sequence[int]) -> Word:
     """`foata_j` on a sequence already known to be a permutation."""
-    n = len(p)
-    rows, _ = _insert(p)
-    rc_rows, rc_row_of_step = _insert([n + 1 - x for x in reversed(p)])
-    if list(map(len, rows)) != list(map(len, rc_rows)):
-        raise InternalInvariantError(
-            "insertion shape must match the reverse-complement recording shape"
-        )
+    rows, row_of_step = _insert(p)
+    key = tuple(row_of_step)
+    rc_row_of_step = _EVACUATED.get(key)
+    if rc_row_of_step is None:
+        n = len(p)
+        rc_rows, rc_row_of_step = _insert([n + 1 - x for x in reversed(p)])
+        if list(map(len, rows)) != list(map(len, rc_rows)):
+            raise InternalInvariantError(
+                "insertion shape must match the reverse-complement recording shape"
+            )
+        if n <= _EVACUATED_LETTERS:
+            rc_row_of_step = _EVACUATED[key] = tuple(rc_row_of_step)
     # Both come straight from `_insert`, so they are standard.
     return _unbump(rows, rc_row_of_step)

@@ -367,8 +367,8 @@ class _CubeTally(_Judge):
 
 
 def _pred_switch_sets(memo, p):
-    """foata_j, uncached, against the descent and inverse descent sets of
-    `words`; nothing is read through `memo`."""
+    """foata_j against the descent and inverse descent sets of `words`,
+    computed from scratch; nothing is read through `memo`."""
     n = len(p)
     image = foata_j(p)
     want_id = words.inverse_descent_set(p)

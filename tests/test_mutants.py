@@ -10,7 +10,7 @@ check must then list it.
 """
 import pytest
 
-from mahonian import involution, verify, words
+from mahonian import involution, tableaux, verify, words
 
 S = words.STATISTICS
 
@@ -79,6 +79,24 @@ def not_injective(map_name, word, other):
         m.setattr(involution, map_name, lambda w: target if tuple(w) == word else real(w))
 
     return plant
+
+
+class Unevacuated(dict):
+    """An evacuation dict that answers every recording tableau with itself,
+    so that `foata_j` inverts (P, Q) back to p."""
+
+    def get(self, key, default=None):
+        return key
+
+
+def evacuation_unchanged(m):
+    m.setattr(tableaux, "_EVACUATED", Unevacuated())
+
+
+def evacuation_wrong_on_one_tableau(m):
+    """Q = 12/34 is its own evacuation, with descent set {2}; answer it with
+    13/24, of the same shape and with descent set {1, 3}."""
+    m.setitem(tableaux._EVACUATED, (0, 0, 1, 1), (0, 1, 0, 1))
 
 
 UNCAUGHT = pytest.mark.xfail(strict=True, reason="no check pins this column yet (ROADMAP item 2)")
@@ -153,6 +171,16 @@ MUTANTS = [
         "burstein_p reverses the tail without reflecting it",
         burstein_tail(lambda p, r: p[:0:-1]),
         ("thm-1.1",),
+    ),
+    row(
+        "the evacuation returns Q unchanged",
+        evacuation_unchanged,
+        ("thm-1.3", "cor-1.4", "cor-1.5", "lemma-3.1", "lemma-3.5"),
+    ),
+    row(
+        "the evacuation of 12/34 is 13/24",
+        evacuation_wrong_on_one_tableau,
+        ("thm-1.3", "cor-1.4", "cor-1.5", "lemma-3.1", "lemma-3.5"),
     ),
     row(
         "phi_on_class is the identity",

@@ -1,4 +1,6 @@
 """RSK row insertion, inverse RSK, and the tableau-switching involution."""
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -139,6 +141,39 @@ class TestFoataJ:
                 image = foata_j(p)
                 assert words.inverse_descent_set(image) == words.inverse_descent_set(p)
                 assert words.descent_set(image) == {n - k for k in words.descent_set(p)}
+
+
+def two_insertions(p):
+    """foata_j by its definition: insert p and rc(p), then invert
+    (P(p), Q(rc(p)))."""
+    rows, _ = tableaux._insert(p)
+    _, rc_row_of_step = tableaux._insert(words.reverse_complement(p))
+    return tableaux._unbump(rows, rc_row_of_step)
+
+
+class TestEvacuated:
+    """`_foata_j` reads Q(rc(p)) from `tableaux._EVACUATED`, keyed by Q(p)."""
+
+    def test_warm_equals_two_insertions(self):
+        perms = [p for n in range(9) for p in symmetric_group(n)]
+        for p in perms:
+            tableaux._foata_j(p)
+        # One entry per standard tableau of 0..8 cells, as many as involutions.
+        assert len(tableaux._EVACUATED) == 1 + 1 + 2 + 4 + 10 + 26 + 76 + 232 + 764
+        for p in perms:
+            assert tableaux._foata_j(p) == two_insertions(p), p
+
+    def test_long_permutations_are_not_stored(self):
+        rng = random.Random(20261019)
+        for n in (40, 11, 10):
+            foata_j(tuple(rng.sample(range(1, n + 1), n)))
+        assert [len(key) for key in tableaux._EVACUATED] == [10]
+
+    def test_stored_rows_are_tuples(self):
+        for n in range(8):
+            for p in symmetric_group(n):
+                assert foata_j(p) == foata_j(p), p
+        assert all(type(rows) is tuple for rows in tableaux._EVACUATED.values())
 
 
 @pytest.mark.parametrize(
