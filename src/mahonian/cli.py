@@ -35,8 +35,10 @@ def _parse_schema(text: str | None) -> list[str]:
     if not tokens:
         raise EmptyInputError("--schema names no statistic")
     resolved = [_SCHEMA_ALIASES.get(tok, tok) for tok in tokens]
-    for tok in resolved:
+    for i, tok in enumerate(resolved):
         words.statistic(tok)  # raises UnknownNameError on a bad token
+        if tok in resolved[:i]:
+            raise ValueError(f"--schema names {words.HEADINGS[tok]} twice")
     return resolved
 
 

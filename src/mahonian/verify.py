@@ -28,10 +28,14 @@ for cor-1.4 and cor-1.5.  A pass hands each word to every check that has
 not failed yet, and computes each image and statistic of the word and of
 its images once for all of them, reading statistics through
 `words.profile`; its memo keeps nothing from one word to the next.  Each
-check keeps its own judge and first failure.  A run sends every task to one
-executor, serial or a single process pool that takes the largest tasks
-first, and merges the results in check and chunk order, so every report is
-identical either way.
+check keeps its own judge and first failure, and across words only what its
+verdict needs: a swap walk the images it vouched for, to skip them; thm-1.2
+its tally, judged once the slice is read; prop-2.4 its counts of S_k by
+inverse descent set, which every multiset of size k reads.  eq-2 and the
+lemmas judge each word alone.  A run sends every task to one executor,
+serial or a single process pool that takes the largest tasks first, and
+merges the results in check and chunk order, so every report is identical
+either way.
 """
 from __future__ import annotations
 
@@ -58,14 +62,14 @@ from .words import HEADINGS, STATISTICS, Word, statistic
 # ------------------------------------------------------------------ domains
 
 
-def symmetric_group(n: int) -> Iterator[Word]:
-    """All permutations of 1..n in lexicographic order."""
-    return iter(_permutations(range(1, n + 1)))
+def symmetric_group(n: int, *head: int) -> Iterator[Word]:
+    """All permutations of 1..n that begin with `head`, in lexicographic order."""
+    return (head + tail for tail in _permutations([v for v in range(1, n + 1) if v not in head]))
 
 
-def word_cube(m: int, n: int) -> Iterator[Word]:
-    """All length-n words over the alphabet 1..m in lexicographic order."""
-    return iter(product(range(1, m + 1), repeat=n))
+def word_cube(m: int, n: int, *head: int) -> Iterator[Word]:
+    """All length-n words over 1..m that begin with `head`, in lexicographic order."""
+    return (head + tail for tail in product(range(1, m + 1), repeat=n - len(head)))
 
 
 def rearrangement_class(letters: Iterable[int]) -> Iterator[Word]:
@@ -309,27 +313,15 @@ class _SwapWalk(_Judge):
         )
 
 
-class _CodeSums(_Judge):
-    """eq-2: coding keeps (Adj, des, Id, MAJ) and the pattern-sum STAT.  The
-    pattern sum of each coded permutation is kept for the chunk, so it is
-    summed once per chunk, whether the chunk meets it as the code of other
-    words or as a word of its own.  Only pattern sums are kept."""
-
-    def __init__(self, memo) -> None:
-        self.memo, self.sums = memo, {}
-
-    def _sum(self, p: Word) -> int:
-        if p not in self.sums:
-            self.sums[p] = _oracle_stat(p)
-        return self.sums[p]
-
-    def step(self, w) -> Counterexample | None:
-        memo, profile, columns, image = self.memo, words.profile, _CODE_SCHEMA[:-1], words.code(w)
-        left = profile(w, columns, memo[w]) + (self._sum(w) if image == w else _oracle_stat(w),)
-        right = left if image == w else profile(image, columns, memo[image]) + (self._sum(image),)
-        if left == right:
-            return None
-        return _mismatch(w, "coded", image, _CODE_SCHEMA, left, _CODE_SCHEMA, right)
+def _pred_code_sums(memo, w):
+    """eq-2: coding keeps (Adj, des, Id, MAJ) and the pattern-sum STAT, summed
+    for w and for its code."""
+    profile, columns, image = words.profile, _CODE_SCHEMA[:-1], words.code(w)
+    left = profile(w, columns, memo[w]) + (_oracle_stat(w),)
+    right = left if image == w else profile(image, columns, memo[image]) + (_oracle_stat(image),)
+    if left == right:
+        return None
+    return _mismatch(w, "coded", image, _CODE_SCHEMA, left, _CODE_SCHEMA, right)
 
 
 class _CubeTally(_Judge):
@@ -459,17 +451,8 @@ class _Characterizations(_Judge):
 # ------------------------------------------------------------------ chunks
 
 # A chunk function takes the picklable arguments of one lexicographically
-# contiguous piece of a domain and returns its instances.
-
-
-def _perm_chunk(n: int, first: int):
-    rest = [v for v in range(1, n + 1) if v != first]
-    return ((first, *tail) for tail in _permutations(rest))
-
-
-def _cube_chunk(m: int, n: int, *head: int):
-    """The words of [m]^n that begin with `head`."""
-    return (head + tail for tail in product(range(1, m + 1), repeat=n - len(head)))
+# contiguous piece of a domain and returns its instances; for S_n and the
+# cubes it is the domain's enumerator, given the chunk's head.
 
 
 def _class_chunk(*classes: Word):
@@ -491,17 +474,17 @@ class _Check(NamedTuple):
 _CHECKS: dict[str, _Check] = {
     "thm-1.1": _Check(
         "pointwise (Adj, des, F, MAJ, STAT) swap under burstein_p on S_n",
-        _perm_chunk,
+        symmetric_group,
         functools.partial(_SwapWalk, "burstein_p", _ADJ_SCHEMA),
     ),
     "thm-1.2": _Check(
         "sextuple (Adj, des, ides, F, MAJ, STAT) equidistribution on [m]^n",
-        _cube_chunk,
+        word_cube,
         _CubeTally,
     ),
     "thm-1.3": _Check(
         "pointwise (des, Id, F, MAJ, STAT) swap under phi on S_n",
-        _perm_chunk,
+        symmetric_group,
         functools.partial(_SwapWalk, "phi", _SWAP_SCHEMA),
     ),
     "cor-1.4": _Check(
@@ -516,21 +499,23 @@ _CHECKS: dict[str, _Check] = {
     ),
     "lemma-3.1": _Check(
         "foata_j preserves Id and reflects D on S_n",
-        _perm_chunk,
+        symmetric_group,
         functools.partial(_Each, _pred_switch_sets),
     ),
     "lemma-3.4": _Check(
         "MAJ + STAT = (n+1)*des - (F-1) on S_n",
-        _perm_chunk,
+        symmetric_group,
         functools.partial(_Each, _pred_maj_stat_sum),
     ),
     "lemma-3.5": _Check(
         "MAJ + MAJ(phi image) = (n+1)*des - (F-1) on S_n",
-        _perm_chunk,
+        symmetric_group,
         functools.partial(_Each, _pred_maj_pair_sum),
     ),
     "eq-2": _Check(
-        "coding preserves (Adj, des, Id, MAJ, STAT) on [m]^n", _cube_chunk, _CodeSums
+        "coding preserves (Adj, des, Id, MAJ, STAT) on [m]^n",
+        word_cube,
+        functools.partial(_Each, _pred_code_sums),
     ),
     "prop-2.4": _Check(
         "both characterizations of compatible permutations coincide",
@@ -675,7 +660,7 @@ def _build(name: str, bounds: CheckBounds, sweep: bool):
     by_size = chunk is _given
     n, m = bounds.n, bounds.alphabet
     limit = max(bounds.cap, WRITTEN_COUNT_LIMIT - 1)
-    if chunk is _perm_chunk:
+    if chunk is symmetric_group:
         sizes = range(1, n + 1) if sweep else range(n, n + 1)
         domain = f"S_{n}" if len(sizes) == 1 else f"S_1..S_{n}"
         if sweep:
@@ -683,7 +668,7 @@ def _build(name: str, bounds: CheckBounds, sweep: bool):
         else:
             *_, work = _factorials(n, limit)
         chunks = ((math.factorial(k - 1), (k, first)) for k in sizes for first in range(1, k + 1))
-    elif chunk is _cube_chunk:
+    elif chunk is word_cube:
         domain = f"[m]^n, m<={m}, n<={n}"
         # sum of a^k over the grid; with one letter, each cube has one word
         work = n if m == 1 else _sum_past(islice(_power_sums(m), n), limit)

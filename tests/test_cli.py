@@ -414,6 +414,7 @@ class TestThinWrapper:
             "error: thm-1.1 over S_1..S_20000 needs more instances than the cap 10000000\n",
         ),
         (["table", "12", "--schema", ","], "error: --schema names no statistic\n"),
+        (["table", "112", "--schema", "des,MAJ,maj"], "error: --schema names MAJ twice\n"),
     ],
 )
 def test_refusals_print_one_error_line_and_exit_2(capsys, argv, err):

@@ -562,13 +562,11 @@ class TestCheck:
             assert size <= budget or len(classes) == 1
         assert max(size for size, _ in chunks) == verify.multinomial((1, 1, 1, 2, 2, 2, 3, 3, 3))
 
-    def test_eq_2_sums_each_coded_permutation_once_per_chunk(self, monkeypatch):
+    def test_eq_2_sums_each_word_and_each_code_other_than_the_word(self, monkeypatch):
         bounds = verify.CheckBounds(n=7, alphabet=3)
-        _, _, sized = verify._build("eq-2", bounds, False)
-        chunks = [list(verify._cube_chunk(*args)) for _, args in sized]
-        # each word once, and each code of a chunk once unless it is the word itself
-        want = sum(len(c) + len({words.code(w) for w in c} - set(c)) for c in chunks)
-        assert want == 5_794 <= 3_540 + 2_267
+        cube = [w for k in range(1, 8) for a in range(1, 4) for w in verify.word_cube(a, k)]
+        coded = sum(1 for w in cube if words.code(w) != w)
+        assert (len(cube), coded) == (3_540, 3_527)
         oracle, calls = patterns.eval_sum, Counter()
 
         def counted(name, w):
@@ -577,7 +575,7 @@ class TestCheck:
 
         monkeypatch.setattr(patterns, "eval_sum", counted)
         assert verify.check("eq-2", bounds).passed
-        assert calls == {"STAT_w": want}
+        assert calls == {"STAT_w": 7_067}
 
 
 SWAP_CHECKS = {
@@ -1015,13 +1013,20 @@ class TestFusedPass:
             def step(self, w):
                 held[w] = set(self.memo)
 
-        monkeypatch.setitem(verify._CHECKS, "spy", verify._Check("", verify._perm_chunk, Spy))
+        monkeypatch.setitem(verify._CHECKS, "spy", verify._Check("", verify.symmetric_group, Spy))
         names = ("thm-1.1", "thm-1.3", "lemma-3.1", "lemma-3.4", "lemma-3.5", "spy")
-        assert verify._fused(names, verify._perm_chunk(6, 3)) == [None] * len(names)
-        assert list(held) == list(verify._perm_chunk(6, 3))
+        assert verify._fused(names, verify.symmetric_group(6, 3)) == [None] * len(names)
+        assert list(held) == list(verify.symmetric_group(6, 3))
         for w, keys in held.items():
             assert w in keys and keys <= {w, involution.phi(w), involution.burstein_p(w)}, w
         assert max(map(len, held.values())) == 3
+        held.clear()
+        names = ("thm-1.2", "eq-2", "spy")
+        assert verify._fused(names, verify.word_cube(3, 5, 2)) == [None] * len(names)
+        assert list(held) == list(verify.word_cube(3, 5, 2))
+        for w, keys in held.items():
+            assert w in keys and keys <= {w, words.code(w)}, w
+        assert max(map(len, held.values())) == 2
 
     @pytest.mark.parametrize("fault", PLANTED)
     def test_reports_equal_each_check_run_alone(self, monkeypatch, fault):
