@@ -30,8 +30,7 @@ class NotStandardError(ValueError):
 
 
 class InvalidTripleError(ValueError):
-    """A top/bottom/shuffle triple, or a map's images of its subwords, describes
-    no permutation."""
+    """A top/bottom/shuffle triple describes no permutation."""
 
 
 class BoundTooLargeError(ValueError):

@@ -50,7 +50,7 @@ def _switched(w: Word) -> Word:
     """The switched form of a standardized subword, checked to be a permutation."""
     image = tableaux._foata_j(w)
     if sorted(image) != list(range(1, len(w) + 1)):
-        raise InvalidTripleError("subword images must be permutations of their letters")
+        raise InternalInvariantError(f"switching sends the subword {w} to {image}")
     return image
 
 

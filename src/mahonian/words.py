@@ -10,10 +10,10 @@ multiset.  All positions and set elements are 1-based.
 Seven statistics live here: the first letter F, the descent count and major
 index (des, MAJ), their inverse counterparts (ides, IMAJ) read off the
 coded permutation, the adjacency count Adj, and STAT, a Mahonian companion
-of MAJ computed in O(n) from des, MAJ and the first letter.  `STATISTICS`
-is the one table of them by name, together with the descent, inverse
-descent and shuffle sets, of which des, MAJ, ides and IMAJ are projections.
-`profile` is the one reader of the table.
+of MAJ.  `STATISTICS` is the one table of them by name, with the descent,
+inverse descent and shuffle sets; des, MAJ and STAT are projections of the
+descent set, ides and IMAJ of the inverse descent set.  `profile` is the one
+reader of the table, and finds each word's descents once.
 """
 from __future__ import annotations
 
@@ -191,8 +191,8 @@ def adj(w: Sequence[int]) -> int:
     return sum(1 for j in range(len(w)) if cw[j] == cw[j + 1] + 1)
 
 
-def stat(w: Sequence[int]) -> int:
-    """STAT in O(n): (n+1)*des - #{j : w_j < w_1} - MAJ; Mahonian on permutations.
+def _stat(w: Sequence[int], d: frozenset[int]) -> int:
+    """STAT from the descent set d of w: (n+1)*des - #{j : w_j < w_1} - MAJ.
 
     STAT is the six-term vincular pattern sum `patterns.eval_sum("STAT_w")`.
     Lemma 3.4 gives it as (n+1)*des - (F-1) - MAJ on permutations; by eq. 2
@@ -205,11 +205,7 @@ def stat(w: Sequence[int]) -> int:
     >>> stat((4, 3, 4, 4, 2, 1, 6, 5, 1))
     21
     """
-    if not w:
-        return 0
-    d = [i for i in range(1, len(w)) if w[i - 1] > w[i]]
-    below_first = sum(1 for x in w if x < w[0])
-    return (len(w) + 1) * len(d) - below_first - sum(d)
+    return (len(w) + 1) * len(d) - sum(1 for x in w if x < w[0]) - sum(d)
 
 
 def first_letter(w: Sequence[int]) -> int:
@@ -221,26 +217,28 @@ def first_letter(w: Sequence[int]) -> int:
 
 @dataclass(frozen=True, slots=True)
 class Projection:
-    """A statistic that is `fn` of another entry of `STATISTICS`, its source,
-    looked up at each read, so that a replaced source is seen through it."""
+    """A statistic `fn(w, value)` of a word and the value of another entry of
+    `STATISTICS`, its source, looked up at each read to see a replaced one."""
 
     source: str
-    fn: Callable[[object], object]
+    fn: Callable[[Sequence[int], object], object]
 
     def __call__(self, w: Sequence[int]) -> object:
-        return self.fn(STATISTICS[self.source](w))
+        return self.fn(w, STATISTICS[self.source](w))
 
 
-# Every statistic by name.  des and MAJ are read off the descent set, ides
-# and IMAJ off the inverse descent set; index sets are the frozensets the
-# functions above return.
+stat = Projection("D-set", _stat)
+
+# Every statistic by name.  des, MAJ and STAT are read off the descent set,
+# ides and IMAJ off the inverse descent set; index sets are the frozensets
+# the functions above return.
 STATISTICS: dict[str, Callable[[Sequence[int]], object]] = {
     "F": first_letter,
-    "des": Projection("D-set", len),
-    "ides": Projection("Id-set", len),
+    "des": Projection("D-set", lambda w, d: len(d)),
+    "ides": Projection("Id-set", lambda w, d: len(d)),
     "adj": adj,
-    "maj": Projection("D-set", sum),
-    "imaj": Projection("Id-set", sum),
+    "maj": Projection("D-set", lambda w, d: sum(d)),
+    "imaj": Projection("Id-set", lambda w, d: sum(d)),
     "stat": stat,
     "D-set": descent_set,
     "Id-set": inverse_descent_set,
@@ -295,7 +293,7 @@ def profile(w: Sequence[int], names: Sequence[str], row: dict | None = None) -> 
             if type(f) is Projection:
                 if f.source not in row:
                     row[f.source] = STATISTICS[f.source](w)
-                row[name] = f.fn(row[f.source])
+                row[name] = f.fn(w, row[f.source])
             else:
                 row[name] = f(w)
         values.append(row[name])

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from mahonian import cli, involution, patterns, words
+from mahonian import cli, involution, patterns, tableaux, words
 from mahonian.errors import InvalidTripleError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -95,6 +95,13 @@ class TestMap:
     def test_unknown_map(self, capsys):
         code, _, _ = run_cli(capsys, "map", "zeta", "123")
         assert code == 2
+
+    def test_a_broken_switch_is_an_internal_fault_not_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(tableaux, "_foata_j", lambda w: w[:1] * len(w))
+        code, out, err = run_cli(capsys, "map", "phi", "2413")
+        assert (code, out) == (1, "")
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+        assert "(2, 1)" in err and "(2, 2)" in err and "Traceback" not in err
 
 
 class TestPattern:

@@ -326,7 +326,7 @@ class TestSwitchMemo:
         letters, switched without the memo and still checked."""
         monkeypatch.setattr(tableaux, "_foata_j", lambda w: w[:1] * len(w))
         p = (12, *range(1, 12), *range(13, 25))
-        with pytest.raises(InvalidTripleError):
+        with pytest.raises(InternalInvariantError):
             phi(p)
         assert involution._switch.cache_info().currsize == 0
 
@@ -390,12 +390,12 @@ class TestDirectAction:
         monkeypatch.setattr(tableaux, "_foata_j", planted)
         involution._switch.cache_clear()
         for _ in range(2):
-            with pytest.raises(InvalidTripleError):
+            with pytest.raises(InternalInvariantError):
                 phi((1, 2, 3, 4))
         assert cli.main(["verify", "thm-1.3", "--n", "4"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines[:2] == ["FAIL thm-1.3 (S_4): 24 instances", "    input:    1234"]
-        assert lines[3].startswith("    actual:   raised InvalidTripleError")
+        assert lines[3].startswith("    actual:   raised InternalInvariantError")
 
     @pytest.mark.parametrize("name", ["thm-1.1", "thm-1.3"])
     def test_no_triple_is_built(self, monkeypatch, name):

@@ -55,6 +55,12 @@ def stat_off_by_first_letter(real):
     return lambda w: real(w) + w[0]
 
 
+def stat_closed_form(form):
+    """Plant `form(w, d)` as the body of `words._stat`, the closed form that
+    `words.stat` projects the descent set through."""
+    return lambda m: m.setattr(words._stat, "__code__", form.__code__)
+
+
 def burstein_tail(fn):
     """`burstein_p` with a wrong tail: t = p_1, then `fn(p, r)` for the
     closed form's letter map r."""
@@ -147,6 +153,11 @@ MUTANTS = [
         ("thm-1.2", "cor-1.4", "cor-1.5", "eq-2", "prop-2.4"),
     ),
     row("stat is off by the first letter", wrong(words, "stat", stat_off_by_first_letter), SWAPS),
+    row(
+        "STAT's closed form drops the letters below F",
+        stat_closed_form(lambda w, d: (len(w) + 1) * len(d) - sum(d)),
+        SWAPS,
+    ),
     row(
         "phi is the identity",
         wrong(involution, "phi", lambda real: tuple),

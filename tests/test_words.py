@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mahonian
 from mahonian import patterns, verify, words
 from mahonian.errors import (
     EmptyInputError,
@@ -325,6 +326,25 @@ class TestRegistry:
         w = (1, 2, 3)
         assert words.profile(w, names) == (2, 3)
         assert tuple(words.statistic(name)(w) for name in names) == (2, 3)
+
+    def test_stat_reads_a_planted_descent_set(self, monkeypatch):
+        monkeypatch.setitem(words.STATISTICS, "D-set", lambda w: frozenset({1, 2}))
+        w = (2, 3, 1)  # (n+1)*des - #{x < w_1} - MAJ = 4*2 - 1 - 3
+        assert words.profile(w, ("stat",)) == (4,)
+        assert words.stat(w) == words.statistic("stat")(w) == 4
+
+    def test_des_maj_and_stat_find_the_descents_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setitem(
+            words.STATISTICS, "D-set", lambda w: calls.append(w) or frozenset({1, 2})
+        )
+        w = (2, 3, 1)
+        assert words.profile(w, ("des", "maj", "stat")) == (2, 3, 4)
+        assert calls == [w]
+
+    def test_stat_is_one_object(self):
+        assert words.STATISTICS["stat"] is words.stat is mahonian.stat
+        assert words.stat.source == "D-set"
 
     @pytest.mark.parametrize("name", ["D-set", "Id-set", "Sh-set"])
     def test_set_statistics_are_frozensets(self, name):
