@@ -9,6 +9,7 @@ import sys
 import time
 
 from mahonian import verify
+from mahonian.errors import DEFAULT_CAP
 
 
 def main() -> int:
@@ -16,7 +17,7 @@ def main() -> int:
     parser.add_argument("--n", type=int, default=6, help="size bound (default 6)")
     parser.add_argument("--alphabet", type=int, default=3, help="letter bound (default 3)")
     parser.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
-    parser.add_argument("--cap", type=int, default=10_000_000)
+    parser.add_argument("--cap", type=int, default=DEFAULT_CAP)
     args = parser.parse_args()
 
     bounds = verify.CheckBounds(n=args.n, alphabet=args.alphabet, cap=args.cap, jobs=args.jobs)

@@ -17,7 +17,7 @@ import sys
 from typing import Sequence
 
 from . import involution, patterns, tableaux, verify, words
-from .errors import EmptyInputError, InternalInvariantError, refuse_over_cap
+from .errors import DEFAULT_CAP, EmptyInputError, InternalInvariantError, refuse_over_cap
 
 # Table column order: Adj, des, ides, F, IMAJ, MAJ, STAT.
 DEFAULT_SCHEMA = ("adj", "des", "ides", "F", "imaj", "maj", "stat")
@@ -170,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pattern = sub.add_parser("pattern", help="count occurrences of a vincular pattern")
     p_pattern.add_argument("pattern", help='dash-separated blocks, e.g. "31-4-2"')
     p_pattern.add_argument("word")
-    p_pattern.add_argument("--cap", type=int, default=10_000_000)
+    p_pattern.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p_pattern.set_defaults(func=cmd_pattern)
 
     p_rsk = sub.add_parser("rsk", help="print the insertion and recording tableaux")
@@ -185,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated statistic columns (default Adj,des,ides,F,IMAJ,MAJ,STAT)",
     )
     p_table.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    p_table.add_argument("--cap", type=int, default=10_000_000)
+    p_table.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="run a named exhaustive check, or all of them")
@@ -193,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int, default=6)
     p_verify.add_argument("--alphabet", type=int, default=3)
     p_verify.add_argument("--word", default=None, help="restrict class checks to one class")
-    p_verify.add_argument("--cap", type=int, default=10_000_000)
+    p_verify.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p_verify.set_defaults(func=cmd_verify)

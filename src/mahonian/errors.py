@@ -42,6 +42,10 @@ class BoundTooLargeError(ValueError):
 WRITTEN_COUNT_LIMIT = 10**20
 
 
+# The most instances a command enumerates unless given another cap.
+DEFAULT_CAP = 10_000_000
+
+
 def refuse_over_cap(subject: str, size: int, noun: str, cap: int) -> None:
     """Raise BoundTooLargeError when `size` exceeds `cap`.  `subject` ends in
     its verb, as in "rearrangement class has"."""

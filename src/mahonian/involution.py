@@ -21,45 +21,17 @@ image is t = p_1 and then, for each x of p_n, ..., p_2, the next letter of
 the switched top (plus t) if x > t, else of the switched bottom.
 Reverse-complement reads a subword backwards, as this walk does, so
 `burstein_p` sends x to its complement in t+1..n or 1..t-1: n+1+t-x or t-x.
-
-A sweep meets the same few standardized subwords many times (the
-permutations of size at most 7 have 874 of them), so `phi` switches them
-through `_switch`, which keeps the switched forms of up to 1,024 subwords of
-at most 10 letters: every subword of a permutation of up to 11 letters.  A
-longer subword is rarely met again, and 1,024 of them would hold megabytes,
-so it is switched and checked by `_switched` each time.
-lemma-3.1 may read evacuations `phi` stored in `tableaux`, but an entry is
-a function of Q alone, computed by the `_insert` lemma-3.1 would run, and
-lemma-3.1 computes each image's Id and D from scratch: a wrong entry that
-moves a descent FAILs it at the first permutation with that Q.  `_switch`
-keys by value, where 1 == 1.0 == True, so the maps admit only int letters.
+`phi` switches its subwords through the caches of :mod:`mahonian.tableaux`.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from . import tableaux
 from .errors import EmptyInputError, InternalInvariantError, InvalidTripleError
+from .tableaux import _CACHED_LETTERS, _switch, _switched
 from .tableaux import foata_j  # foata_j stays importable from here
 from .words import Word, check_permutation, code, decode, format_word, shuffle_set
-
-
-def _switched(w: Word) -> Word:
-    """The switched form of a standardized subword, checked to be a permutation."""
-    image = tableaux._foata_j(w)
-    if sorted(image) != list(range(1, len(w) + 1)):
-        raise InternalInvariantError(f"switching sends the subword {w} to {image}")
-    return image
-
-
-# 1,024 entries hold all 874 subwords of permutations of size <= 7; a bigger
-# memo helps little at n = 9.  With subwords of at most _MEMO_LETTERS it
-# stays under a megabyte.  An image is checked once, when computed; a
-# refusal is not cached.
-_MEMO_LETTERS = 10
-_switch = functools.lru_cache(maxsize=1024)(_switched)
 
 
 @dataclass(frozen=True)
@@ -158,8 +130,8 @@ def phi(p: Sequence[int]) -> Word:
     t = p[0]
     top = tuple(x - t for x in p if x > t)
     bottom = tuple(x for x in p if x < t)
-    highs = iter(_switch(top) if len(top) <= _MEMO_LETTERS else _switched(top))
-    lows = iter(_switch(bottom) if len(bottom) <= _MEMO_LETTERS else _switched(bottom))
+    highs = iter(_switch(top) if len(top) <= _CACHED_LETTERS else _switched(top))
+    lows = iter(_switch(bottom) if len(bottom) <= _CACHED_LETTERS else _switched(bottom))
     return (t, *[next(highs) + t if x > t else next(lows) for x in p[:0:-1]])
 
 

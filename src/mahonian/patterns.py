@@ -95,7 +95,7 @@ def count_occurrences(pattern: VincularPattern, word: Sequence[int]) -> int:
     >>> count_occurrences(parse_pattern("31-4-2"), (4, 1, 2, 5, 3))
     1
     """
-    return _counter(((pattern.letters, pattern.glued),))(word)
+    return _counter((pattern,))(word)
 
 
 # The most blocks of one term a counter is generated for.  Each block past
@@ -103,17 +103,13 @@ def count_occurrences(pattern: VincularPattern, word: Sequence[int]) -> int:
 # Python's recursion limit (1,000 frames).
 _MAX_BLOCKS = 500
 
-# A sum's terms as (letters, adjacency flags), which hash faster than patterns.
-_Terms = tuple[tuple[tuple[int, ...], tuple[bool, ...]], ...]
-
-
 # Compiled sums are cached by their terms.  Like `re`'s cache it is bounded,
 # and it lets every parse of the same pattern text, one per CLI call, and
 # every use of the same sum reuse the code generated for it.
 @functools.lru_cache(maxsize=64)
-def _counter(terms: _Terms) -> Callable[[Sequence[int]], int]:
-    for _, glued in terms:
-        blocks = glued.count(False) + 1
+def _counter(terms: tuple[VincularPattern, ...]) -> Callable[[Sequence[int]], int]:
+    for term in terms:
+        blocks = term.glued.count(False) + 1
         if blocks > _MAX_BLOCKS:
             raise BoundTooLargeError(
                 f"a {blocks}-block pattern has more blocks than the limit {_MAX_BLOCKS}"
@@ -156,16 +152,16 @@ class _Node:
         return self.first > 0 and len(self.letters) == self.first + 1 and not self.children
 
 
-def _source(terms: _Terms) -> str:
+def _source(terms: tuple[VincularPattern, ...]) -> str:
     """Python source of the counter of a sum: one function b<k> per trie node
     with blocks below, b0 the root's, which loops over the start positions of
     each block below but the tails.  Calls, not nested loops, chain the
     blocks, so that more blocks compile than Python nests loops, up to
     `_MAX_BLOCKS` per term.  Only indices and fixed operators are written."""
     root = _Node()
-    for letters, glued in terms:
-        node = root
-        for block in VincularPattern(letters, glued).blocks:
+    for term in terms:
+        node, letters = root, term.letters
+        for block in term.blocks:
             first, prefix = len(node.letters), letters[: len(node.letters) + len(block)]
             values = sorted(set(prefix))
             key = tuple(values.index(a) + 1 for a in prefix)
@@ -214,15 +210,10 @@ class PatternSum:
             raise ValueError("a pattern sum needs at least one term")
 
     @functools.cached_property
-    def key(self) -> _Terms:
-        """The terms as plain tuples, which key the compiled sums."""
-        return tuple((term.letters, term.glued) for term in self.terms)
-
-    @functools.cached_property
     def counter(self) -> Callable[[Sequence[int]], int]:
         """The compiled counter of the sum, held here so that evaluating the
-        sum does not rehash its key."""
-        return _counter(self.key)
+        sum does not rehash its terms."""
+        return _counter(self.terms)
 
 
 # Adjacency decompositions of the classical Mahonian statistics on

@@ -13,8 +13,21 @@ invert.  It preserves the inverse descent set and reflects the descent set
 :mod:`mahonian.involution` need from it.  As Q(rc(p)) = evac(Q(p))
 (Schützenberger; Stanley, EC2, App. A1), `foata_j` inserts p once and reads
 rc(p)'s recording rows from `_EVACUATED`, keyed by p's.  A miss inserts
-rc(p) and, for p of at most 10 letters, stores the rows: at most the 13,231
-standard tableaux of 1..10 cells (a few MB), each a function of Q(p) alone.
+rc(p) and stores the rows, each a function of Q(p) alone.
+
+A sweep meets the same few standardized subwords many times (the
+permutations of size at most 7 have 874 of them), so `phi` switches them
+through `_switch`, which keeps the switched forms of up to 1,024 subwords.
+Both caches take only words of at most `_CACHED_LETTERS` (10) letters.
+That admits every subword of a permutation of up to 11 letters, and bounds
+`_EVACUATED` by the 13,231 standard tableaux of 1..10 cells (a few MB).  A
+longer subword is rarely met again, and 1,024 of them would hold megabytes,
+so it is switched and checked by `_switched` each time.  lemma-3.1 may read
+evacuations `phi` stored, but an entry is a function of Q alone, computed by
+the `_insert` lemma-3.1 would run, and lemma-3.1 computes each image's Id
+and D from scratch: a wrong entry that moves a descent FAILs it at the first
+permutation with that Q.  `_switch` keys by value, where 1 == 1.0 == True,
+so the maps admit only int letters.
 
 `Tableau` objects exist only at the public `rsk`/`inverse_rsk` boundary.
 Inside, a tableau pair is the insertion rows as lists together with the
@@ -23,6 +36,7 @@ after checking its input once.
 """
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -30,8 +44,8 @@ from typing import Iterable, Sequence
 from .errors import InternalInvariantError, NotStandardError, ShapeMismatchError
 from .words import Word, check_permutation
 
+_CACHED_LETTERS = 10
 # Q(rc(p)) by row, keyed by Q(p) by row; tuples, which `_unbump` cannot consume.
-_EVACUATED_LETTERS = 10
 _EVACUATED: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
@@ -167,7 +181,20 @@ def _foata_j(p: Sequence[int]) -> Word:
             raise InternalInvariantError(
                 "insertion shape must match the reverse-complement recording shape"
             )
-        if n <= _EVACUATED_LETTERS:
+        if n <= _CACHED_LETTERS:
             rc_row_of_step = _EVACUATED[key] = tuple(rc_row_of_step)
     # Both come straight from `_insert`, so they are standard.
     return _unbump(rows, rc_row_of_step)
+
+
+def _switched(w: Word) -> Word:
+    """The switched form of a standardized subword, checked to be a permutation."""
+    image = _foata_j(w)
+    if sorted(image) != list(range(1, len(w) + 1)):
+        raise InternalInvariantError(f"switching sends the subword {w} to {image}")
+    return image
+
+
+# A bigger memo helps little at n = 9, and this one stays under a megabyte.
+# An image is checked once, when computed; a refusal is not cached.
+_switch = functools.lru_cache(maxsize=1024)(_switched)

@@ -51,6 +51,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import involution, patterns, words
 from .errors import (
+    DEFAULT_CAP,
     WRITTEN_COUNT_LIMIT,
     UnknownNameError,
     refuse_over_cap,
@@ -173,7 +174,7 @@ class CheckBounds:
     n: int = 6
     alphabet: int = 3
     word: Word | None = None
-    cap: int = 10_000_000
+    cap: int = DEFAULT_CAP
     jobs: int = 1
 
     def __post_init__(self) -> None:

@@ -38,8 +38,8 @@ def is_permutation(w: Sequence[int]) -> bool:
     """True when the letters of `w` are exactly the ints 1..n, each once.
 
     A float or bool letter is refused even when it equals an int:
-    `involution.phi` memoizes by value, and 1 == 1.0 == True would let an
-    image computed for one type answer for another.
+    `tableaux._switch`, `phi`'s memo, keys by value, and 1 == 1.0 == True
+    would let an image computed for one type answer for another.
     """
     return sorted(w) == list(range(1, len(w) + 1)) and {int}.issuperset(map(type, w))
 
@@ -62,12 +62,12 @@ def parse_word(text: str) -> Word:
     (10, 2, 10, 3)
     """
     s = text.strip()
-    if not s:
-        raise ParseError("empty word text")
     if _SEPARATOR_RE.search(s):
         tokens = [tok for tok in _SEPARATOR_RE.split(s) if tok]
     else:
         tokens = list(s)
+    if not tokens:  # "", or separators only
+        raise ParseError("empty word text")
     # str.isdigit alone admits other scripts' digits, which int() reads or rejects.
     if not all(tok.isascii() and tok.isdigit() for tok in tokens):
         raise ParseError(f"not a word: {text!r}")

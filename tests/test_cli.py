@@ -96,6 +96,10 @@ class TestMap:
         code, _, _ = run_cli(capsys, "map", "zeta", "123")
         assert code == 2
 
+    def test_text_with_no_letters_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "map", "rc", ",")
+        assert (code, out) == (2, "") and "empty word text" in err
+
     def test_a_broken_switch_is_an_internal_fault_not_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr(tableaux, "_foata_j", lambda w: w[:1] * len(w))
         code, out, err = run_cli(capsys, "map", "phi", "2413")

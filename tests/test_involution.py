@@ -299,7 +299,7 @@ class TestSwitchMemo:
         for _ in range(600):
             p = tuple(rng.sample(range(1, 13), 12))
             assert phi(p) == uncached_phi(p), p
-        info = involution._switch.cache_info()
+        info = tableaux._switch.cache_info()
         assert info.misses > info.maxsize == info.currsize
         self.assert_phi_uncached_on_small_groups()
 
@@ -308,7 +308,7 @@ class TestSwitchMemo:
         assert phi(p) == uncached_phi(p)
 
     def test_bound(self):
-        assert involution._switch.cache_info().maxsize == 1024
+        assert tableaux._switch.cache_info().maxsize == 1024
 
     def test_long_subwords_are_not_memoized(self):
         """A 40-letter permutation starting at 20 has subwords of 19 and 20
@@ -317,9 +317,9 @@ class TestSwitchMemo:
         random.Random(20261019).shuffle(rest)
         p = (20, *rest)
         phi((3, 1, 2, 4, 5))
-        before = involution._switch.cache_info().currsize
+        before = tableaux._switch.cache_info().currsize
         assert phi(p) == uncached_phi(p)
-        assert involution._switch.cache_info().currsize == before
+        assert tableaux._switch.cache_info().currsize == before
 
     def test_a_wrong_switch_fails_closed_without_the_memo(self, monkeypatch):
         """A 24-letter permutation starting at 12 has subwords of 11 and 12
@@ -328,13 +328,13 @@ class TestSwitchMemo:
         p = (12, *range(1, 12), *range(13, 25))
         with pytest.raises(InternalInvariantError):
             phi(p)
-        assert involution._switch.cache_info().currsize == 0
+        assert tableaux._switch.cache_info().currsize == 0
 
     def test_foata_j_check_never_reads_the_memo(self):
         phi((3, 1, 2, 4, 5))
-        before = involution._switch.cache_info()
+        before = tableaux._switch.cache_info()
         assert verify.check("lemma-3.1", n=6).passed
-        after = involution._switch.cache_info()
+        after = tableaux._switch.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
 
     def test_equal_letters_of_another_type_are_refused(self):
@@ -388,7 +388,7 @@ class TestDirectAction:
         """The switch is planted beneath the memo, which checks each image
         once and stores no refusal, so every call fails again."""
         monkeypatch.setattr(tableaux, "_foata_j", planted)
-        involution._switch.cache_clear()
+        tableaux._switch.cache_clear()
         for _ in range(2):
             with pytest.raises(InternalInvariantError):
                 phi((1, 2, 3, 4))

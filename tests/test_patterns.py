@@ -208,9 +208,9 @@ class TestCount:
         assert first is not again
         w = (4, 1, 2, 5, 3)
         assert patterns.count_occurrences(first, w) == patterns.count_occurrences(again, w) == 1
-        key = ((first.letters, first.glued),)
+        key = (first,)
         assert generated == [key]
-        assert patterns._counter(key) is patterns._counter(((again.letters, again.glued),))
+        assert patterns._counter(key) is patterns._counter((again,))
         info = patterns._counter.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
 
@@ -228,7 +228,7 @@ class TestCount:
             assert patterns.count_occurrences(pat, w) == brute_count(pat, w)
         assert patterns._counter.cache_info().currsize == bound
         misses = patterns._counter.cache_info().misses
-        patterns._counter(((valid[-1].letters, valid[-1].glued),))
+        patterns._counter((valid[-1],))
         assert patterns._counter.cache_info().misses == misses
 
     def test_named_sums_match_reference_on_small_words(self):
@@ -255,13 +255,13 @@ class TestCompiledSums:
         assert patterns.eval_sum(one_term, w) == patterns.count_occurrences(pat, w)
 
     def test_stat_w_places_each_leading_block_once_and_counts_last_letters_inline(self):
-        source = patterns._source(patterns.named_sum("STAT_w").key)
+        source = patterns._source(patterns.named_sum("STAT_w").terms)
         # 21-3, 21-2, 32-1 and 21 begin with a descent, 13-2 and 12-1 with an ascent.
         assert source.count("def ") == 1 and source.count("for s in range(") == 2
         assert source.count("for x2 in w[s + 2:]:") == 2 and "b1(" not in source
 
     def test_terms_share_a_block_until_their_comparisons_differ(self):
-        source = patterns._source(patterns.named_sum("INV").key)
+        source = patterns._source(patterns.named_sum("INV").terms)
         # 3-12, 3-21 and 2-31 share their first letter; 21 is a block of its own.
         assert source.count("def ") == 2 and source.count("for s in range(") == 5
         assert source.count("total += b1(") == 1
@@ -284,7 +284,7 @@ class TestCompiledSums:
         w = (2, 1, 2, 1)
         assert patterns.eval_sum("STAT_w", w) == patterns.eval_sum(parsed, w) == 4
         assert patterns.eval_sum("STAT_w", w) == 4
-        assert generated == [parsed.key] == [patterns.named_sum("STAT_w").key]
+        assert generated == [parsed.terms] == [patterns.named_sum("STAT_w").terms]
         assert patterns.named_sum("STAT_w").counter is parsed.counter
         # The second evaluation of the named sum reads the counter held on it.
         info = patterns._counter.cache_info()

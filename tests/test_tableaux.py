@@ -175,6 +175,17 @@ class TestEvacuated:
                 assert foata_j(p) == foata_j(p), p
         assert all(type(rows) is tuple for rows in tableaux._EVACUATED.values())
 
+    @pytest.mark.parametrize("n, stored", [(10, 1), (11, 0)])
+    def test_one_letter_bound_for_both_caches(self, n, stored):
+        """`_CACHED_LETTERS` bounds the evacuation dict and `phi`'s memo
+        alike: a word of 10 letters is stored in each, one of 11 in neither."""
+        assert tableaux._CACHED_LETTERS == 10
+        foata_j(tuple(range(n, 0, -1)))
+        assert len(tableaux._EVACUATED) == stored
+        # 1 then 2..n+1: a top subword of n letters and an empty bottom one.
+        involution.phi((1, *range(2, n + 2)))
+        assert tableaux._switch.cache_info().currsize == 1 + stored
+
 
 @pytest.mark.parametrize(
     "module, name, checks",

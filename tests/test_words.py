@@ -40,7 +40,7 @@ class TestParsing:
         assert words.parse_word("10 2 10 3") == (10, 2, 10, 3)
         assert words.parse_word(" 3, 1 ,2 ") == (3, 1, 2)
 
-    @pytest.mark.parametrize("bad", ["", "  ", "1a2", "102", "0", "1,0,2", "-1 2"])
+    @pytest.mark.parametrize("bad", ["", "  ", ",", " , ", ",,", "1a2", "102", "0", "1,0,2", "-1 2"])
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
             words.parse_word(bad)
