@@ -9,15 +9,21 @@ import sys
 import time
 
 from mahonian import verify
-from mahonian.errors import DEFAULT_CAP
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, default=6, help="size bound (default 6)")
-    parser.add_argument("--alphabet", type=int, default=3, help="letter bound (default 3)")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
-    parser.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    defaults = verify.CheckBounds
+    parser.add_argument(
+        "--n", type=int, default=defaults.n, help="size bound (default %(default)s)"
+    )
+    parser.add_argument(
+        "--alphabet", type=int, default=defaults.alphabet, help="letter bound (default %(default)s)"
+    )
+    parser.add_argument(
+        "--jobs", type=int, default=defaults.jobs, help="worker processes (default %(default)s)"
+    )
+    parser.add_argument("--cap", type=int, default=defaults.cap)
     args = parser.parse_args()
 
     bounds = verify.CheckBounds(n=args.n, alphabet=args.alphabet, cap=args.cap, jobs=args.jobs)

@@ -63,22 +63,22 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+# `map`'s maps in usage order; p, j and rc take only permutations.
+_MAPS = {
+    "phi": involution.phi_on_class,
+    "p": involution.burstein_p,
+    "j": tableaux.foata_j,
+    "code": words.code,
+    "rc": words.reverse_complement,
+}
+_ON_PERMUTATIONS = ("p", "j", "rc")
+
+
 def cmd_map(args: argparse.Namespace) -> int:
     w = words.parse_word(args.word)
-    if args.name == "code":
-        print(words.format_word(words.code(w)))
-        return 0
-    if args.name == "phi":
-        print(words.format_word(involution.phi_on_class(w)))
-        return 0
-    if not words.is_permutation(w):
+    if args.name in _ON_PERMUTATIONS and not words.is_permutation(w):
         raise ValueError(f"map {args.name!r} needs a permutation of 1..n")
-    mapper = {
-        "p": involution.burstein_p,
-        "j": tableaux.foata_j,
-        "rc": words.reverse_complement,
-    }[args.name]
-    print(words.format_word(mapper(w)))
+    print(words.format_word(_MAPS[args.name](w)))
     return 0
 
 
@@ -163,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_stats.set_defaults(func=cmd_stats)
 
     p_map = sub.add_parser("map", help="apply a named map to a word or permutation")
-    p_map.add_argument("name", choices=("phi", "p", "j", "code", "rc"))
+    p_map.add_argument("name", choices=tuple(_MAPS))
     p_map.add_argument("word")
     p_map.set_defaults(func=cmd_map)
 
@@ -190,11 +190,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a named exhaustive check, or all of them")
     p_verify.add_argument("check", choices=verify.CHECK_IDS + ("all",))
-    p_verify.add_argument("--n", type=int, default=6)
-    p_verify.add_argument("--alphabet", type=int, default=3)
+    p_verify.add_argument("--n", type=int, default=verify.CheckBounds.n)
+    p_verify.add_argument("--alphabet", type=int, default=verify.CheckBounds.alphabet)
     p_verify.add_argument("--word", default=None, help="restrict class checks to one class")
-    p_verify.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--cap", type=int, default=verify.CheckBounds.cap)
+    p_verify.add_argument("--jobs", type=int, default=verify.CheckBounds.jobs)
     p_verify.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p_verify.set_defaults(func=cmd_verify)
 

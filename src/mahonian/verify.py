@@ -44,7 +44,7 @@ import math
 import os
 from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations_with_replacement, count, groupby, islice, product
 from itertools import permutations as _permutations
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -647,6 +647,13 @@ def _power_sums(m: int) -> Iterator[int]:
         yield sums[-1]
 
 
+def _class_label(letters: Word) -> str:
+    """R(w) for the sorted word w, by letter counts, as R(1^40 2), when shorter."""
+    runs = [(x, len(list(run))) for x, run in groupby(letters)]
+    counted = " ".join(str(x) if k == 1 else f"{x}^{k}" for x, k in runs)
+    return f"R({min(words.format_word(letters), counted, key=len)})"
+
+
 def _build(name: str, bounds: CheckBounds, sweep: bool):
     """(domain description, instance count, chunks) of one check, where each
     chunk is (closed-form size, chunk arguments).  The count is compared with
@@ -684,7 +691,7 @@ def _build(name: str, bounds: CheckBounds, sweep: bool):
     # words of every class and groups S_k once per size k, one chunk per size.
     elif bounds.word is not None:
         letters = words.sorted_word(bounds.word)
-        domain = f"R({words.format_word(letters)})"
+        domain = _class_label(letters)
         work = multinomial(letters) + (math.factorial(len(letters)) if by_size else 0)
         chunks = [(work, (letters,))]
     else:
@@ -699,11 +706,6 @@ def _build(name: str, bounds: CheckBounds, sweep: bool):
     if by_size:  # prop-2.4's instances are its multisets; its cap also counts S_k
         instances = 1 if bounds.word is not None else math.comb(m + n, n) - 1
     return domain, instances, chunks
-
-
-def _resolve(bounds: CheckBounds | None, overrides: dict) -> CheckBounds:
-    resolved = bounds if bounds is not None else CheckBounds()
-    return replace(resolved, **overrides) if overrides else resolved
 
 
 def _run(names: Sequence[str], bounds: CheckBounds, sweep: bool) -> list[CheckReport]:
@@ -730,26 +732,20 @@ def _run(names: Sequence[str], bounds: CheckBounds, sweep: bool) -> list[CheckRe
     ]
 
 
-def check(
-    name: str,
-    bounds: CheckBounds | None = None,
-    sweep: bool = False,
-    **overrides,
-) -> CheckReport:
-    """Run one named check.
+def check(name: str, bounds: CheckBounds = CheckBounds(), sweep: bool = False) -> CheckReport:
+    """Run one named check within `bounds`.
 
     Symmetric-group checks run at exactly size `n`, or at every size 1..n
     when `sweep` is set; word and class checks always cover everything
-    within (`n`, `alphabet`), or the single class of `word`.  Keyword
-    overrides patch the bounds, e.g. ``check("thm-1.3", n=7)``.
+    within (`n`, `alphabet`), or the single class of `word`.  Bounds are
+    passed as one `CheckBounds`, e.g. ``check("thm-1.3", CheckBounds(n=7))``.
     """
-    resolved = _resolve(bounds, overrides)
-    if resolved.word is not None and name in _CHECKS and name not in _CLASS_CHECKS:
+    if bounds.word is not None and name in _CHECKS and name not in _CLASS_CHECKS:
         *others, last = _CLASS_CHECKS
         raise ValueError(f"--word restricts only {', '.join(others)} and {last}, not {name}")
-    return _run([name], resolved, sweep)[0]
+    return _run([name], bounds, sweep)[0]
 
 
-def run_all(bounds: CheckBounds | None = None, **overrides) -> list[CheckReport]:
-    """Run every check; symmetric-group checks sweep sizes 1..n."""
-    return _run(CHECK_IDS, _resolve(bounds, overrides), sweep=True)
+def run_all(bounds: CheckBounds = CheckBounds()) -> list[CheckReport]:
+    """Run every check within `bounds`; symmetric-group checks sweep sizes 1..n."""
+    return _run(CHECK_IDS, bounds, sweep=True)

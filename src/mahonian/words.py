@@ -289,7 +289,10 @@ def profile(w: Sequence[int], names: Sequence[str], row: dict | None = None) -> 
     values = []
     for name in names:
         if name not in row:
-            f = STATISTICS[name]
+            try:
+                f = STATISTICS[name]
+            except KeyError:
+                f = statistic(name)  # raises UnknownNameError
             if type(f) is Projection:
                 if f.source not in row:
                     row[f.source] = STATISTICS[f.source](w)

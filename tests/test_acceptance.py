@@ -86,7 +86,7 @@ def test_criterion_3_quintuple_swap_s1_to_s7():
     start = time.perf_counter()
     total = 0
     for n in range(1, 8):
-        report = verify.check("thm-1.3", n=n)
+        report = verify.check("thm-1.3", verify.CheckBounds(n=n))
         assert report.passed, report.lines()
         assert report.instances == math.factorial(n) <= 6000
         total += report.instances
@@ -98,7 +98,7 @@ def test_criterion_3_quintuple_swap_s1_to_s7():
 
 def test_criterion_4_class_swap():
     start = time.perf_counter()
-    report = verify.check("cor-1.4", n=6, alphabet=4)
+    report = verify.check("cor-1.4", verify.CheckBounds(n=6, alphabet=4))
     elapsed = time.perf_counter() - start
     assert report.passed, report.lines()
     assert report.instances == sum(4**n for n in range(1, 7))  # 5460 words
@@ -108,10 +108,10 @@ def test_criterion_4_class_swap():
 
 def test_criterion_5_adj_swap_and_cube_distribution():
     for n in range(1, 7):
-        report = verify.check("thm-1.1", n=n)
+        report = verify.check("thm-1.1", verify.CheckBounds(n=n))
         assert report.passed, report.lines()
         assert report.instances == math.factorial(n)
-    cube = verify.check("thm-1.2", n=4, alphabet=4)
+    cube = verify.check("thm-1.2", verify.CheckBounds(n=4, alphabet=4))
     assert cube.passed, cube.lines()
     assert cube.instances == sum(m**n for n in range(1, 5) for m in range(1, 5))
     _report("criterion 5", "pointwise swap on S_1..S_6 and sextuple distributions on [4]^4")
@@ -119,12 +119,12 @@ def test_criterion_5_adj_swap_and_cube_distribution():
 
 def test_criterion_6_lemmas_coding_and_characterization():
     for n in range(1, 7):
-        assert verify.check("lemma-3.1", n=n).passed
+        assert verify.check("lemma-3.1", verify.CheckBounds(n=n)).passed
     for n in range(1, 8):
-        assert verify.check("lemma-3.4", n=n).passed
-        assert verify.check("lemma-3.5", n=n).passed
-    assert verify.check("eq-2", n=4, alphabet=4).passed
-    prop = verify.check("prop-2.4", n=6, alphabet=4)
+        assert verify.check("lemma-3.4", verify.CheckBounds(n=n)).passed
+        assert verify.check("lemma-3.5", verify.CheckBounds(n=n)).passed
+    assert verify.check("eq-2", verify.CheckBounds(n=4, alphabet=4)).passed
+    prop = verify.check("prop-2.4", verify.CheckBounds(n=6, alphabet=4))
     assert prop.passed and prop.instances == 209  # classes with n<=6 over 1..4
     _report("criterion 6", "set lemmas, sum identities, coding, and class characterization")
 

@@ -269,6 +269,30 @@ class TestVerify:
             "",
         )
 
+    def test_a_long_class_is_written_by_letter_counts(self, capsys):
+        assert run_cli(capsys, "verify", "cor-1.4", "--word", "1" * 40 + "2") == (
+            0,
+            "PASS cor-1.4 (R(1^40 2)): 41 instances\n",
+            "",
+        )
+
+    def test_all_restricts_the_class_checks_to_one_class(self, capsys):
+        argv = ("verify", "all", "--n", "3", "--alphabet", "2", "--word", "1122")
+        assert run_cli(capsys, *argv) == (
+            0,
+            "PASS thm-1.1 (S_1..S_3): 9 instances\n"
+            "PASS thm-1.2 ([m]^n, m<=2, n<=3): 17 instances\n"
+            "PASS thm-1.3 (S_1..S_3): 9 instances\n"
+            "PASS cor-1.4 (R(1122)): 6 instances\n"
+            "PASS cor-1.5 (R(1122)): 6 instances\n"
+            "PASS lemma-3.1 (S_1..S_3): 9 instances\n"
+            "PASS lemma-3.4 (S_1..S_3): 9 instances\n"
+            "PASS lemma-3.5 (S_1..S_3): 9 instances\n"
+            "PASS eq-2 ([m]^n, m<=2, n<=3): 17 instances\n"
+            "PASS prop-2.4 (R(1122)): 1 instances\n",
+            "",
+        )
+
     def test_all_small_bounds(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "all", "--n", "3", "--alphabet", "2")
         assert code == 0
@@ -426,6 +450,10 @@ class TestThinWrapper:
         ),
         (["table", "12", "--schema", ","], "error: --schema names no statistic\n"),
         (["table", "112", "--schema", "des,MAJ,maj"], "error: --schema names MAJ twice\n"),
+        (
+            ["verify", "prop-2.4", "--word", "1" * 1999 + "2"],
+            "error: prop-2.4 over R(1^1999 2) needs more instances than the cap 10000000\n",
+        ),
     ],
 )
 def test_refusals_print_one_error_line_and_exit_2(capsys, argv, err):

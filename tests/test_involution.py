@@ -333,7 +333,7 @@ class TestSwitchMemo:
     def test_foata_j_check_never_reads_the_memo(self):
         phi((3, 1, 2, 4, 5))
         before = tableaux._switch.cache_info()
-        assert verify.check("lemma-3.1", n=6).passed
+        assert verify.check("lemma-3.1", verify.CheckBounds(n=6)).passed
         after = tableaux._switch.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
 
@@ -357,7 +357,7 @@ class TestSwitchMemo:
             return real(p)
 
         monkeypatch.setattr(tableaux, "_insert", counted)
-        assert verify.check("thm-1.3", n=7).passed
+        assert verify.check("thm-1.3", verify.CheckBounds(n=7)).passed
         assert 0 < len(calls) <= 2 * 874
 
 
@@ -408,5 +408,5 @@ class TestDirectAction:
                 return real(*args)
 
             monkeypatch.setattr(involution, fn, counted)
-        assert verify.check(name, n=7).passed
+        assert verify.check(name, verify.CheckBounds(n=7)).passed
         assert calls == Counter()

@@ -1,6 +1,7 @@
 """Enumeration, joint distributions, and the named check registry."""
 import math
 from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -143,38 +144,38 @@ class TestJointDistribution:
 
 class TestCheck:
     def test_quintuple_swap_sn(self):
-        report = verify.check("thm-1.3", n=4)
+        report = verify.check("thm-1.3", verify.CheckBounds(n=4))
         assert report.passed and report.instances == 24 and report.domain == "S_4"
 
     def test_sweep_flag(self):
-        report = verify.check("thm-1.3", n=4, sweep=True)
+        report = verify.check("thm-1.3", verify.CheckBounds(n=4), sweep=True)
         assert report.passed and report.instances == 33
         assert report.domain == "S_1..S_4"
 
     def test_single_class(self):
-        report = verify.check("cor-1.4", word=(1, 1, 2, 2))
+        report = verify.check("cor-1.4", verify.CheckBounds(word=(1, 1, 2, 2)))
         assert report.passed and report.instances == 6
         assert report.domain == "R(1122)"
 
     def test_smallest_case(self):
-        report = verify.check("lemma-3.4", n=1)
+        report = verify.check("lemma-3.4", verify.CheckBounds(n=1))
         assert report.passed and report.instances == 1
 
     def test_cube_checks(self):
         for name in ("thm-1.2", "eq-2"):
-            report = verify.check(name, n=3, alphabet=3)
+            report = verify.check(name, verify.CheckBounds(n=3, alphabet=3))
             assert report.passed
             assert report.instances == sum(
                 m**n for n in range(1, 4) for m in range(1, 4)
             )
 
     def test_class_sweep_counts_words(self):
-        report = verify.check("cor-1.5", n=4, alphabet=2)
+        report = verify.check("cor-1.5", verify.CheckBounds(n=4, alphabet=2))
         assert report.passed
         assert report.instances == sum(2**n for n in range(1, 5))
 
     def test_prop_counts_classes(self):
-        report = verify.check("prop-2.4", n=3, alphabet=3)
+        report = verify.check("prop-2.4", verify.CheckBounds(n=3, alphabet=3))
         assert report.passed and report.instances == 3 + 6 + 10
 
     def test_unknown_check(self):
@@ -183,11 +184,11 @@ class TestCheck:
 
     def test_word_refused_by_a_check_without_classes(self):
         with pytest.raises(ValueError, match="restricts only cor-1.4, cor-1.5 and prop-2.4"):
-            verify.check("eq-2", word=(1, 2))
+            verify.check("eq-2", verify.CheckBounds(word=(1, 2)))
 
     def test_cap(self):
         with pytest.raises(BoundTooLargeError):
-            verify.check("thm-1.3", n=11, cap=1000)
+            verify.check("thm-1.3", verify.CheckBounds(n=11, cap=1000))
 
     @pytest.mark.parametrize("name", ["cor-1.4", "cor-1.5", "prop-2.4"])
     def test_cap_refused_before_enumerating(self, monkeypatch, name):
@@ -196,13 +197,13 @@ class TestCheck:
 
         monkeypatch.setattr(verify, "multisets", refuse)
         with pytest.raises(BoundTooLargeError):
-            verify.check(name, n=8, alphabet=60, cap=1000)
+            verify.check(name, verify.CheckBounds(n=8, alphabet=60, cap=1000))
 
     def test_cap_counts_in_closed_form(self):
         with pytest.raises(BoundTooLargeError, match="needs 23 instances"):
-            verify.check("prop-2.4", n=3, alphabet=2, cap=1)
+            verify.check("prop-2.4", verify.CheckBounds(n=3, alphabet=2, cap=1))
         with pytest.raises(BoundTooLargeError, match="needs 14 instances"):
-            verify.check("cor-1.4", n=3, alphabet=2, cap=1)
+            verify.check("cor-1.4", verify.CheckBounds(n=3, alphabet=2, cap=1))
 
     @pytest.mark.parametrize("alphabet", [1, 2, 5])
     def test_cap_counts_every_domain_exactly(self, alphabet):
@@ -219,7 +220,9 @@ class TestCheck:
             ("prop-2.4", False, class_words + perms),
         ]:
             with pytest.raises(BoundTooLargeError, match=f"needs {count} instances"):
-                verify.check(name, sweep=sweep, n=n, alphabet=alphabet, cap=count - 1)
+                verify.check(
+                    name, verify.CheckBounds(n=n, alphabet=alphabet, cap=count - 1), sweep=sweep
+                )
             assert verify._build(name, verify.CheckBounds(n, alphabet, cap=count), sweep)
 
     @pytest.mark.parametrize("cpus, workers", [(8, [4]), (None, [])])
@@ -241,9 +244,9 @@ class TestCheck:
 
         monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
-        report = verify.check("thm-1.3", n=4, jobs=10**6)
+        report = verify.check("thm-1.3", verify.CheckBounds(n=4, jobs=10**6))
         assert started == workers
-        assert report == verify.check("thm-1.3", n=4)
+        assert report == verify.check("thm-1.3", verify.CheckBounds(n=4))
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
@@ -254,19 +257,19 @@ class TestCheck:
         with pytest.raises(ValueError):
             verify.CheckBounds(word=word)
         with pytest.raises(ValueError):
-            verify.check("cor-1.4", word=word)
+            verify.check("cor-1.4", verify.CheckBounds(word=word))
 
     def test_parallel_reports_identical(self):
-        sequential = verify.check("thm-1.3", n=5, jobs=1)
-        parallel = verify.check("thm-1.3", n=5, jobs=3)
+        sequential = verify.check("thm-1.3", verify.CheckBounds(n=5, jobs=1))
+        parallel = verify.check("thm-1.3", verify.CheckBounds(n=5, jobs=3))
         assert sequential == parallel
-        sweep_seq = verify.check("cor-1.4", n=4, alphabet=3, jobs=1)
-        sweep_par = verify.check("cor-1.4", n=4, alphabet=3, jobs=2)
+        sweep_seq = verify.check("cor-1.4", verify.CheckBounds(n=4, alphabet=3, jobs=1))
+        sweep_par = verify.check("cor-1.4", verify.CheckBounds(n=4, alphabet=3, jobs=2))
         assert sweep_seq == sweep_par
 
     def test_planted_failure_reports_least_counterexample(self, monkeypatch):
         monkeypatch.setattr(involution, "phi", lambda p: tuple(p))
-        report = verify.check("thm-1.3", n=3)
+        report = verify.check("thm-1.3", verify.CheckBounds(n=3))
         assert not report.passed
         assert report.instances == 6
         assert report.counterexample is not None
@@ -281,7 +284,7 @@ class TestCheck:
             "_CUBE_SWAPPED",
             ("adj", "des", "ides", "F", "maj", "maj"),
         )
-        report = verify.check("thm-1.2", n=3, alphabet=2)
+        report = verify.check("thm-1.2", verify.CheckBounds(n=3, alphabet=2))
         assert not report.passed and report.counterexample is not None
 
     @pytest.mark.parametrize("fault", [None, "swapped schema", "wrong stat", "raising ides"])
@@ -319,7 +322,7 @@ class TestCheck:
             for k in range(1, 6):
                 grid = [(b, j) for j in range(1, k + 1) for b in range(1, a + 1)]
                 first = next((f"[{b}]^{j}" for b, j in grid if fails[b, j]), None)
-                report = verify.check("thm-1.2", n=k, alphabet=a)
+                report = verify.check("thm-1.2", verify.CheckBounds(n=k, alphabet=a))
                 assert report.passed == (first is None)
                 shown = report.counterexample and report.counterexample.input
                 assert shown == first
@@ -331,7 +334,7 @@ class TestCheck:
             verify, "_execute", lambda ts, jobs: tasks.append(len(ts)) or real(ts, jobs)
         )
         for name in ("eq-2", "thm-1.2"):
-            assert verify.check(name, n=1, alphabet=300).passed
+            assert verify.check(name, verify.CheckBounds(n=1, alphabet=300)).passed
         assert tasks == [300, 300]
 
     @pytest.mark.parametrize("sweep", [False, True])
@@ -354,11 +357,11 @@ class TestCheck:
                     "multiset": len({tuple(sorted(w)) for w in words_upto(n, m)}),
                 }
                 for name in verify.CHECK_IDS:
-                    report = verify.check(name, sweep=sweep, n=n, alphabet=m)
+                    report = verify.check(name, verify.CheckBounds(n=n, alphabet=m), sweep=sweep)
                     assert report.instances == domains[DOMAIN_KINDS[name]], (name, n, m)
         word = (1, 1, 2)
         for name, want in [("cor-1.4", 3), ("cor-1.5", 3), ("prop-2.4", 1)]:
-            assert verify.check(name, sweep=sweep, word=word).instances == want
+            assert verify.check(name, verify.CheckBounds(word=word), sweep=sweep).instances == want
 
     @pytest.mark.parametrize(
         "map_name, name, lines",
@@ -407,7 +410,7 @@ class TestCheck:
     )
     def test_planted_identity_fails_each_swap_check(self, monkeypatch, map_name, name, lines):
         monkeypatch.setattr(involution, map_name, lambda w: tuple(w))
-        assert verify.check(name, n=3, alphabet=2).lines() == lines
+        assert verify.check(name, verify.CheckBounds(n=3, alphabet=2)).lines() == lines
 
     @pytest.mark.parametrize(
         "target, name, fault, lines",
@@ -478,7 +481,7 @@ class TestCheck:
     )
     def test_planted_fault_fails_prop_2_4(self, monkeypatch, target, name, fault, lines):
         plant(monkeypatch, target, name, fault(getattr(target, name)))
-        assert verify.check("prop-2.4", n=3, alphabet=2).lines() == [
+        assert verify.check("prop-2.4", verify.CheckBounds(n=3, alphabet=2)).lines() == [
             "FAIL prop-2.4 (classes with n<=3, letters<=2): 9 instances",
             *lines,
         ]
@@ -510,8 +513,8 @@ class TestCheck:
 
         monkeypatch.setattr(words, "stat", wrong)
         monkeypatch.setitem(words.STATISTICS, "stat", wrong)
-        assert verify.check("lemma-3.4", n=4).passed
-        assert verify.check("eq-2", n=3, alphabet=3).passed
+        assert verify.check("lemma-3.4", verify.CheckBounds(n=4)).passed
+        assert verify.check("eq-2", verify.CheckBounds(n=3, alphabet=3)).passed
         assert cli.main(["verify", "thm-1.3", "--n", "3"]) == 1
         out = capsys.readouterr().out
         assert out.startswith("FAIL thm-1.3") and "input:    123\n" in out
@@ -520,22 +523,22 @@ class TestCheck:
     def test_lemmas_pin_the_columns_they_read(self, monkeypatch, column, wrong):
         monkeypatch.setitem(words.STATISTICS, column, lambda w: wrong)
         for name in ("lemma-3.4", "lemma-3.5"):
-            assert not verify.check(name, n=5).passed, name
+            assert not verify.check(name, verify.CheckBounds(n=5)).passed, name
 
     def test_wrong_pattern_sum_fails_lemma_3_4(self, monkeypatch):
         oracle = patterns.eval_sum
         monkeypatch.setattr(patterns, "eval_sum", lambda name, w: oracle(name, w) + 1)
-        report = verify.check("lemma-3.4", n=3)
+        report = verify.check("lemma-3.4", verify.CheckBounds(n=3))
         assert not report.passed and report.counterexample.input == "123"
-        assert verify.check("thm-1.3", n=3).passed
+        assert verify.check("thm-1.3", verify.CheckBounds(n=3)).passed
 
     def test_pass_report_renders_one_line(self):
-        report = verify.check("lemma-3.1", n=3)
+        report = verify.check("lemma-3.1", verify.CheckBounds(n=3))
         assert report.lines() == ["PASS lemma-3.1 (S_3): 6 instances"]
 
     def test_empty_id_column_fails_prop_2_4(self, monkeypatch):
         monkeypatch.setitem(words.STATISTICS, "Id-set", lambda w: frozenset())
-        reports = verify.run_all(n=5, alphabet=3)
+        reports = verify.run_all(verify.CheckBounds(n=5, alphabet=3))
         assert [r.name for r in reports if not r.passed] == ["prop-2.4"]
         assert reports[-1].lines() == [
             "FAIL prop-2.4 (classes with n<=5, letters<=3): 55 instances",
@@ -550,7 +553,7 @@ class TestCheck:
         monkeypatch.setattr(
             verify, "_execute", lambda ts, jobs: tasks.extend(ts) or real(ts, jobs)
         )
-        assert verify.check("cor-1.4", n=2, alphabet=300).passed
+        assert verify.check("cor-1.4", verify.CheckBounds(n=2, alphabet=300)).passed
         assert len(tasks) == 89  # one task per class would be 300 + C(301, 2) = 45,450
         assert [c for task in tasks for c in task.args] == list(verify.multisets(300, 2))
         budget = verify._CLASS_CHUNK_WORDS
@@ -675,12 +678,12 @@ class TestInvolutivity:
         )
         assert naive_profile(word, schema) == naive_profile(other, schema)
         monkeypatch.setattr(involution, map_name, _non_injective(map_name))
-        assert verify.check(name, **bounds).lines() == lines
+        assert verify.check(name, verify.CheckBounds(**bounds)).lines() == lines
 
     def test_map_raising_on_an_image_names_the_word(self, monkeypatch):
         assert involution.phi((2, 1, 3)) == (2, 3, 1)
         monkeypatch.setattr(involution, "phi", _raising_on("phi", (2, 3, 1)))
-        assert verify.check("thm-1.3", n=3).lines() == [
+        assert verify.check("thm-1.3", verify.CheckBounds(n=3)).lines() == [
             "FAIL thm-1.3 (S_3): 6 instances",
             "    input:    213",
             "    expected: phi(phi(213)) = 213",
@@ -745,14 +748,17 @@ class TestPairWalk:
             with monkeypatch.context() as m:
                 if fault is not None:
                     m.setattr(involution, map_name, FAULTS[fault](map_name))
-                paired = verify.check(name, sweep=True, n=5, alphabet=3).lines()
+                paired = verify.check(name, verify.CheckBounds(n=5, alphabet=3), sweep=True).lines()
                 assert paired[0].split()[0] == ("PASS" if fault is None else "FAIL")
                 naive = naive_swap_judge(map_name, SWAP_SCHEMAS[name])
                 # the naive judge keeps nothing between words, so it can judge one at a time
                 alone = SimpleNamespace(step=lambda w: naive([w]), verdict=lambda: None)
                 naive_check = verify._CHECKS[name]._replace(start=lambda look: alone)
                 m.setitem(verify._CHECKS, name, naive_check)
-                assert verify.check(name, sweep=True, n=5, alphabet=3).lines() == paired
+                assert (
+                    verify.check(name, verify.CheckBounds(n=5, alphabet=3), sweep=True).lines()
+                    == paired
+                )
 
     @pytest.mark.parametrize(
         "name, bounds, domain",
@@ -780,13 +786,13 @@ class TestPairWalk:
 
         monkeypatch.setattr(involution, map_name, counted_map)
         monkeypatch.setattr(words, "profile", counted_profile)
-        assert verify.check(name, **bounds).passed
+        assert verify.check(name, verify.CheckBounds(**bounds)).passed
         assert mapped == profiled == Counter(domain)
 
 
 class TestRunAll:
     def test_all_pass_small(self):
-        reports = verify.run_all(n=4, alphabet=3)
+        reports = verify.run_all(verify.CheckBounds(n=4, alphabet=3))
         assert [r.name for r in reports] == list(verify.CHECK_IDS)
         assert all(r.passed for r in reports)
         by_name = {r.name: r for r in reports}
@@ -834,7 +840,7 @@ class TestRunAll:
             "PASS prop-2.4 (classes with n<=9, letters<=4): 714 instances"
         )
         with pytest.raises(BoundTooLargeError, match="needs 758637 instances"):
-            verify.check("prop-2.4", n=9, alphabet=4, cap=758_636)
+            verify.check("prop-2.4", verify.CheckBounds(n=9, alphabet=4, cap=758_636))
 
     def test_builds_each_check_once(self, monkeypatch):
         built = Counter()
@@ -845,7 +851,7 @@ class TestRunAll:
             return real(name, bounds, sweep)
 
         monkeypatch.setattr(verify, "_build", counted)
-        verify.run_all(n=3, alphabet=2)
+        verify.run_all(verify.CheckBounds(n=3, alphabet=2))
         assert built == Counter(verify.CHECK_IDS)
 
     def test_one_executor_for_the_whole_run(self, monkeypatch, capsys):
@@ -877,7 +883,7 @@ class TestRunAll:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_planted_fault_split_per_check(self, monkeypatch, jobs):
         monkeypatch.setattr(involution, "phi", lambda p: tuple(p))
-        reports = verify.run_all(n=3, alphabet=2, jobs=jobs)
+        reports = verify.run_all(verify.CheckBounds(n=3, alphabet=2, jobs=jobs))
         swap = "(des, Id, F, MAJ, STAT) = (1, {1}, 2, 1, 2)"
         swapped = "(des, Id, F, STAT, MAJ) = (1, {1}, 2, 2, 1)"
         assert [r.lines() for r in reports] == [
@@ -996,7 +1002,7 @@ class TestFusedPass:
             monkeypatch.setattr(
                 involution, name, lambda w, real=real, name=name: calls.update([name]) or real(w)
             )
-        assert all(r.passed for r in verify.run_all(n=6, alphabet=3))
+        assert all(r.passed for r in verify.run_all(verify.CheckBounds(n=6, alphabet=3)))
         # S_1..S_6 has 873 permutations, 369 of them vouched for by thm-1.3's
         # walk, which lemma-3.5 maps again; the classes of [3]^<=6 have 1,092
         # words, each mapped once for cor-1.4 and cor-1.5, and phi_on_class
@@ -1035,7 +1041,7 @@ class TestFusedPass:
         alone = [verify.check(name, bounds, sweep=True).lines() for name in verify.CHECK_IDS]
         assert any(lines[0].startswith("FAIL") for lines in alone)
         for jobs in (1, 2):
-            fused = verify.run_all(bounds, jobs=jobs)
+            fused = verify.run_all(replace(bounds, jobs=jobs))
             assert [r.lines() for r in fused] == alone, jobs
 
     def test_a_pool_takes_the_largest_tasks_first(self, monkeypatch):
@@ -1056,9 +1062,11 @@ class TestFusedPass:
                 return map(fn, tasks)
 
         monkeypatch.setattr(involution, "phi", lambda p: tuple(p))
-        serial = [r.lines() for r in verify.run_all(n=4, alphabet=2)]
+        serial = [r.lines() for r in verify.run_all(verify.CheckBounds(n=4, alphabet=2))]
         monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
-        assert [r.lines() for r in verify.run_all(n=4, alphabet=2, jobs=2)] == serial
+        assert [
+            r.lines() for r in verify.run_all(verify.CheckBounds(n=4, alphabet=2, jobs=2))
+        ] == serial
         sizes = [task.size for task in handed]
         assert sizes == sorted(sizes, reverse=True) and sizes[0] > sizes[-1]

@@ -11,6 +11,7 @@ from mahonian.errors import (
     NotCompatibleError,
     ParseError,
     SizeMismatchError,
+    UnknownNameError,
 )
 
 random_words = st.lists(st.integers(1, 6), min_size=1, max_size=8).map(tuple)
@@ -341,6 +342,10 @@ class TestRegistry:
         w = (2, 3, 1)
         assert words.profile(w, ("des", "maj", "stat")) == (2, 3, 4)
         assert calls == [w]
+
+    def test_the_reader_refuses_an_unknown_name(self):
+        with pytest.raises(UnknownNameError, match="unknown statistic 'foo'"):
+            words.profile((1, 2), ("des", "foo"))
 
     def test_stat_is_one_object(self):
         assert words.STATISTICS["stat"] is words.stat is mahonian.stat
