@@ -33,9 +33,11 @@ verdict needs: a swap walk the images it vouched for, to skip them; thm-1.2
 its tally, judged once the slice is read; prop-2.4 its counts of S_k by
 inverse descent set, which every multiset of size k reads.  eq-2 and the
 lemmas judge each word alone.  A run sends every task to one executor,
-serial or a single process pool that takes the largest tasks first, and
-merges the results in check and chunk order, so every report is identical
-either way.
+serial or, when it has more than one worker, a single process pool that
+takes the largest tasks first and is imported only then; the results merge
+in check and chunk order, so every report is identical either way.  A
+permutation that an enumerator made goes to its map's body, which skips the
+input check; an image is mapped back through the checked public map.
 """
 from __future__ import annotations
 
@@ -43,13 +45,12 @@ import functools
 import math
 import os
 from collections import Counter, defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, count, groupby, islice, product
 from itertools import permutations as _permutations
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from . import involution, patterns, words
+from . import involution, patterns, tableaux, words
 from .errors import (
     DEFAULT_CAP,
     WRITTEN_COUNT_LIMIT,
@@ -168,7 +169,9 @@ class CheckBounds:
     `word` restricts class checks to a single rearrangement class; `cap`
     refuses domains with more elements than it; `jobs` > 1 runs every chunk
     of the run on one process pool of at most `jobs` workers, and no more
-    than there are CPUs or chunks in the whole run.
+    than there are chunks in the whole run or CPUs this process may use (its
+    affinity set, where the platform keeps one).  A run left with one worker
+    runs serially and imports no pool.
     """
 
     n: int = 6
@@ -238,13 +241,27 @@ def _raised(shown: str, exc: Exception) -> Counterexample:
 # `words.profile` with the word's row, and maps through `_image`.
 
 
-def _image(memo, map_name: str, w):
+# Each original map's body, which skips the input check: a permutation an
+# enumerator made is known to be one, while an image, the output of the map
+# under test, is not.  A body is read from its module at each call, so that a
+# patched body is the one checked; a patched (or wrapped) map is not a key
+# here and is called as it is.
+_BODIES = {
+    involution.phi: lambda p: involution._phi(p),
+    involution.burstein_p: lambda p: involution._burstein_p(p),
+    foata_j: lambda p: tableaux._foata_j(p),
+}
+
+
+def _image(memo, map_name: str, w, enumerated: bool = True):
     """The image of w under `involution.<map_name>`, kept in w's row.  The map
     is read from `involution` at each call, so that a patched one is the one
-    checked."""
+    checked; a word the enumerator made goes to its body, an image that is
+    mapped back (not `enumerated`) to the checked map."""
     row = memo[w]
     if map_name not in row:
-        row[map_name] = getattr(involution, map_name)(w)
+        fn = getattr(involution, map_name)
+        row[map_name] = (_BODIES.get(fn, fn) if enumerated else fn)(w)
     return row[map_name]
 
 
@@ -299,7 +316,7 @@ class _SwapWalk(_Judge):
             return None
         fmt = words.format_word
         try:
-            back = _image(memo, name, image)
+            back = _image(memo, name, image, enumerated=False)
         except Exception as exc:  # the word fails: its image cannot be mapped back
             actual = f"raised {type(exc).__name__}: {exc}"
         else:
@@ -363,7 +380,7 @@ def _pred_switch_sets(memo, p):
     """foata_j against the descent and inverse descent sets of `words`,
     computed from scratch; nothing is read through `memo`."""
     n = len(p)
-    image = foata_j(p)
+    image = _BODIES.get(foata_j, foata_j)(p)
     want_id = words.inverse_descent_set(p)
     want_d = frozenset(n - k for k in words.descent_set(p))
     got_id = words.inverse_descent_set(image)
@@ -576,10 +593,26 @@ def _run_task(task: _Task) -> list[Counterexample | None]:
     return _fused(task.names, _CHECKS[task.names[0]].chunk(*task.args))
 
 
+def ProcessPoolExecutor(max_workers: int):
+    """A process pool, imported only by a run that starts one: the import
+    loads `multiprocessing`, which a serial run never needs."""
+    import concurrent.futures
+
+    return concurrent.futures.ProcessPoolExecutor(max_workers=max_workers)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    keeps one, else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _execute(tasks: list[_Task], jobs: int) -> list[list[Counterexample | None]]:
     """The results of the tasks, in their order.  A pool is handed them
     largest first, so that the smallest tasks fill the end of the run."""
-    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    workers = min(jobs, _usable_cpus(), len(tasks))
     if workers <= 1:
         return [_run_task(task) for task in tasks]
     order = sorted(range(len(tasks)), key=lambda i: -tasks[i].size)

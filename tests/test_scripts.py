@@ -1,8 +1,12 @@
 """Smoke tests: the example scripts run against the package in src/."""
+import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from mahonian import involution, patterns, tableaux, verify, words
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,3 +33,35 @@ def test_run_checks():
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()[1:]
     assert len(rows) == 10 and all(row.endswith("PASS") for row in rows)
+
+
+def load_bench():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+def test_bench_parts():
+    bench = load_bench()
+    cold = bench.cold_start(ROOT / "src", 2)
+    assert cold["runs"] == 2 and cold["wall_ms_median"] > 0
+    assert cold["peak_rss_mb_median"] > 0 and cold["import_mahonian_cli_us_median"] > 0
+    rows = bench.per_call((involution, patterns, tableaux, verify, words), 3, 1)
+    assert len(rows) == 11 and all(us > 0 for us in rows.values())
+    groups = bench.fused_groups(verify, 3, 2, 1)
+    assert sorted(name for group in groups for name in group["checks"]) == sorted(verify.CHECK_IDS)
+
+
+def test_bench_adds_a_record(tmp_path):
+    """At the default 30 cold starts, so one call at a small n."""
+    out = tmp_path / "bench.json"
+    out.write_text('{"parent": {}}\n')
+    proc = run_script("bench.py", "--out", str(out), "--n", "3", "--alphabet", "2", "--label", "change")
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(out.read_text())
+    assert list(record) == ["parent", "change"] and record["parent"] == {}
+    assert record["change"]["cold_start"]["runs"] == 30
+    assert len(record["change"]["us_per_call_on_S_3"]) == 11
+    groups = record["change"]["fused_group_s_at_n3_over_2"]
+    assert sorted(name for group in groups for name in group["checks"]) == sorted(verify.CHECK_IDS)

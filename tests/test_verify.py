@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
-from mahonian import cli, involution, patterns, verify, words
+from mahonian import cli, involution, patterns, tableaux, verify, words
 from mahonian.errors import BoundTooLargeError, UnknownNameError
 
 random_multisets = st.lists(st.integers(1, 4), min_size=0, max_size=6).map(
@@ -225,8 +225,10 @@ class TestCheck:
                 )
             assert verify._build(name, verify.CheckBounds(n, alphabet, cap=count), sweep)
 
-    @pytest.mark.parametrize("cpus, workers", [(8, [4]), (None, [])])
-    def test_jobs_clamped(self, monkeypatch, cpus, workers):
+    @staticmethod
+    def pools_started(monkeypatch):
+        """The worker counts of the pools a run of thm-1.3 at n=4 with a
+        million jobs starts; its report must equal the serial one."""
         started = []
 
         class SerialPool:
@@ -243,10 +245,23 @@ class TestCheck:
                 return map(fn, tasks)
 
         monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
         report = verify.check("thm-1.3", verify.CheckBounds(n=4, jobs=10**6))
-        assert started == workers
         assert report == verify.check("thm-1.3", verify.CheckBounds(n=4))
+        return started
+
+    @pytest.mark.parametrize("cpus, workers", [(8, [4]), (None, [])])
+    def test_jobs_clamped(self, monkeypatch, cpus, workers):
+        """Without an affinity set the clamp counts the machine's CPUs."""
+        monkeypatch.delattr(verify.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+        assert self.pools_started(monkeypatch) == workers
+
+    @pytest.mark.parametrize("usable, workers", [({0}, []), (set(range(8)), [4])])
+    def test_jobs_clamped_by_the_usable_cpus(self, monkeypatch, usable, workers):
+        """The CPUs this process may use bound the pool, not the machine's."""
+        monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: usable, raising=False)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
+        assert self.pools_started(monkeypatch) == workers
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
@@ -871,7 +886,7 @@ class TestRunAll:
                 return map(fn, tasks)
 
         monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         argv = ["verify", "all", "--n", "4", "--alphabet", "2", "--jobs"]
         assert cli.main([*argv, "1"]) == 0
         serial = capsys.readouterr().out
@@ -1064,9 +1079,65 @@ class TestFusedPass:
         monkeypatch.setattr(involution, "phi", lambda p: tuple(p))
         serial = [r.lines() for r in verify.run_all(verify.CheckBounds(n=4, alphabet=2))]
         monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
         assert [
             r.lines() for r in verify.run_all(verify.CheckBounds(n=4, alphabet=2, jobs=2))
         ] == serial
         sizes = [task.size for task in handed]
         assert sizes == sorted(sizes, reverse=True) and sizes[0] > sizes[-1]
+
+
+class TestEnumeratedWords:
+    """The permutations a chunk's enumerator made go to the maps' bodies,
+    unchecked; only images, output of the map under test, are checked."""
+
+    def test_thm_1_3_checks_only_the_images_it_maps_back(self, monkeypatch):
+        vouched, mapped_back = set(), []
+        for w in verify.symmetric_group(5):
+            image = involution.phi(w)
+            if w not in vouched and image != w:
+                vouched.add(image)
+                mapped_back.append(image)
+        checked = []
+
+        def counting(w, check=words.check_permutation):
+            checked.append(tuple(w))
+            check(w)
+
+        monkeypatch.setattr(involution, "check_permutation", counting)
+        assert verify.check("thm-1.3", verify.CheckBounds(n=5)).passed
+        assert checked == mapped_back and 0 < len(checked) < math.factorial(5)
+
+    @pytest.mark.parametrize(
+        "name, map_name", [("thm-1.3", "phi"), ("lemma-3.5", "phi"), ("thm-1.1", "burstein_p")]
+    )
+    def test_a_patched_map_receives_every_generated_permutation(self, monkeypatch, name, map_name):
+        received, real = [], getattr(involution, map_name)
+
+        def recording(p):
+            received.append(tuple(p))
+            return real(p)
+
+        monkeypatch.setattr(involution, map_name, recording)
+        assert verify.check(name, verify.CheckBounds(n=5)).passed
+        assert set(received) == set(verify.symmetric_group(5))
+
+    @pytest.mark.parametrize(
+        "module, body, name",
+        [
+            (tableaux, "_foata_j", "lemma-3.1"),
+            (involution, "_phi", "thm-1.3"),
+            (involution, "_burstein_p", "thm-1.1"),
+        ],
+    )
+    def test_a_patched_body_is_the_one_checked(self, monkeypatch, module, body, name):
+        """The identity in place of a map's body fails the check that the
+        enumerated permutations reach through that body."""
+        monkeypatch.setattr(module, body, tuple)
+        assert not verify.check(name, verify.CheckBounds(n=4)).passed
+
+    def test_a_patched_foata_j_receives_every_generated_permutation(self, monkeypatch):
+        received, real = [], verify.foata_j
+        monkeypatch.setattr(verify, "foata_j", lambda p: received.append(p) or real(p))
+        assert verify.check("lemma-3.1", verify.CheckBounds(n=4)).passed
+        assert received == list(verify.symmetric_group(4))
