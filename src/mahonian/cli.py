@@ -63,7 +63,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-# `map`'s maps in usage order; p, j and rc take only permutations.
+# `map`'s maps in usage order; p, j and rc refuse a word that is not a permutation.
 _MAPS = {
     "phi": involution.phi_on_class,
     "p": involution.burstein_p,
@@ -71,13 +71,10 @@ _MAPS = {
     "code": words.code,
     "rc": words.reverse_complement,
 }
-_ON_PERMUTATIONS = ("p", "j", "rc")
 
 
 def cmd_map(args: argparse.Namespace) -> int:
     w = words.parse_word(args.word)
-    if args.name in _ON_PERMUTATIONS and not words.is_permutation(w):
-        raise ValueError(f"map {args.name!r} needs a permutation of 1..n")
     print(words.format_word(_MAPS[args.name](w)))
     return 0
 
@@ -103,8 +100,6 @@ def cmd_pattern(args: argparse.Namespace) -> int:
 
 def cmd_rsk(args: argparse.Namespace) -> int:
     w = words.parse_word(args.word)
-    if not words.is_permutation(w):
-        raise ValueError("rsk needs a permutation of 1..n")
     insert_tab, record_tab = tableaux.rsk(w)
     print("P:")
     print(insert_tab)

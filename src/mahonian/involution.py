@@ -22,8 +22,8 @@ the switched top (plus t) if x > t, else of the switched bottom.
 Reverse-complement reads a subword backwards, as this walk does, so
 `burstein_p` sends x to its complement in t+1..n or 1..t-1: n+1+t-x or t-x.
 `phi` switches its subwords through the caches of :mod:`mahonian.tableaux`.
-The public maps check their input; `_phi` and `_burstein_p` are their
-bodies, which the verifier calls on the permutations it generated itself.
+The maps check their input, except a `words.Permutation`, which its maker
+has already checked.
 """
 from __future__ import annotations
 
@@ -129,11 +129,6 @@ def phi(p: Sequence[int]) -> Word:
     check_permutation(p)
     if not p:
         raise EmptyInputError("cannot act on an empty permutation")
-    return _phi(p)
-
-
-def _phi(p: Sequence[int]) -> Word:
-    """`phi` on a sequence already known to be a nonempty permutation."""
     t = p[0]
     top = tuple(x - t for x in p if x > t)
     bottom = tuple(x for x in p if x < t)
@@ -154,11 +149,6 @@ def burstein_p(p: Sequence[int]) -> Word:
     check_permutation(p)
     if not p:
         raise EmptyInputError("cannot act on an empty permutation")
-    return _burstein_p(p)
-
-
-def _burstein_p(p: Sequence[int]) -> Word:
-    """`burstein_p` on a sequence already known to be a nonempty permutation."""
     t, high = p[0], len(p) + 1 + p[0]
     return (t, *[high - x if x > t else t - x for x in p[:0:-1]])
 

@@ -35,9 +35,10 @@ inverse descent set, which every multiset of size k reads.  eq-2 and the
 lemmas judge each word alone.  A run sends every task to one executor,
 serial or, when it has more than one worker, a single process pool that
 takes the largest tasks first and is imported only then; the results merge
-in check and chunk order, so every report is identical either way.  A
-permutation that an enumerator made goes to its map's body, which skips the
-input check; an image is mapped back through the checked public map.
+in check and chunk order, so every report is identical either way.  The
+S_n enumerator yields each permutation as a `words.Permutation`, whose maps
+skip their input check; an image, the output of the map under test, is a
+plain tuple and is checked when it is mapped back.
 """
 from __future__ import annotations
 
@@ -50,7 +51,7 @@ from itertools import combinations_with_replacement, count, groupby, islice, pro
 from itertools import permutations as _permutations
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from . import involution, patterns, tableaux, words
+from . import involution, patterns, words
 from .errors import (
     DEFAULT_CAP,
     WRITTEN_COUNT_LIMIT,
@@ -59,18 +60,27 @@ from .errors import (
 )
 from .tableaux import foata_j
 # The statistic table lives in `words`; `verify.STATISTICS` is the same dict.
-from .words import HEADINGS, STATISTICS, Word, statistic
+from .words import HEADINGS, STATISTICS, Permutation, Word, statistic
 
 # ------------------------------------------------------------------ domains
 
 
 def symmetric_group(n: int, *head: int) -> Iterator[Word]:
-    """All permutations of 1..n that begin with `head`, in lexicographic order."""
-    return (head + tail for tail in _permutations([v for v in range(1, n + 1) if v not in head]))
+    """All permutations of 1..n that begin with `head`, in lexicographic order.
+
+    `head` is checked once to be distinct int letters of 1..n, so every word
+    yielded is a permutation, and is yielded as a `words.Permutation`.
+    """
+    rest = [v for v in range(1, n + 1) if v not in head]
+    if len(head) + len(rest) != n or not {int}.issuperset(map(type, head)):
+        raise ValueError(f"a head of S_{n} needs distinct int letters of 1..{n}: {head}")
+    return (Permutation(head + tail) for tail in _permutations(rest))
 
 
 def word_cube(m: int, n: int, *head: int) -> Iterator[Word]:
     """All length-n words over 1..m that begin with `head`, in lexicographic order."""
+    if len(head) > n or not all(type(x) is int and 1 <= x <= m for x in head):
+        raise ValueError(f"a head of [{m}]^{n} needs at most {n} int letters of 1..{m}: {head}")
     return (head + tail for tail in product(range(1, m + 1), repeat=n - len(head)))
 
 
@@ -241,27 +251,13 @@ def _raised(shown: str, exc: Exception) -> Counterexample:
 # `words.profile` with the word's row, and maps through `_image`.
 
 
-# Each original map's body, which skips the input check: a permutation an
-# enumerator made is known to be one, while an image, the output of the map
-# under test, is not.  A body is read from its module at each call, so that a
-# patched body is the one checked; a patched (or wrapped) map is not a key
-# here and is called as it is.
-_BODIES = {
-    involution.phi: lambda p: involution._phi(p),
-    involution.burstein_p: lambda p: involution._burstein_p(p),
-    foata_j: lambda p: tableaux._foata_j(p),
-}
-
-
-def _image(memo, map_name: str, w, enumerated: bool = True):
+def _image(memo, map_name: str, w):
     """The image of w under `involution.<map_name>`, kept in w's row.  The map
     is read from `involution` at each call, so that a patched one is the one
-    checked; a word the enumerator made goes to its body, an image that is
-    mapped back (not `enumerated`) to the checked map."""
+    checked."""
     row = memo[w]
     if map_name not in row:
-        fn = getattr(involution, map_name)
-        row[map_name] = (_BODIES.get(fn, fn) if enumerated else fn)(w)
+        row[map_name] = getattr(involution, map_name)(w)
     return row[map_name]
 
 
@@ -316,7 +312,7 @@ class _SwapWalk(_Judge):
             return None
         fmt = words.format_word
         try:
-            back = _image(memo, name, image, enumerated=False)
+            back = _image(memo, name, image)
         except Exception as exc:  # the word fails: its image cannot be mapped back
             actual = f"raised {type(exc).__name__}: {exc}"
         else:
@@ -380,7 +376,7 @@ def _pred_switch_sets(memo, p):
     """foata_j against the descent and inverse descent sets of `words`,
     computed from scratch; nothing is read through `memo`."""
     n = len(p)
-    image = _BODIES.get(foata_j, foata_j)(p)
+    image = foata_j(p)
     want_id = words.inverse_descent_set(p)
     want_d = frozenset(n - k for k in words.descent_set(p))
     got_id = words.inverse_descent_set(image)
@@ -693,7 +689,7 @@ def _build(name: str, bounds: CheckBounds, sweep: bool):
     the cap in closed form, and summed only until it is past both the cap and
     the largest count a refusal writes, so it is exact whenever the check
     runs.  Chunks are generated lazily, so an oversized check raises
-    BoundTooLargeError before anything is enumerated or allocated."""
+    BoundTooLargeError before any instance is generated or memory allocated."""
     try:
         chunk = _CHECKS[name].chunk
     except KeyError:

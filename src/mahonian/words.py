@@ -44,8 +44,17 @@ def is_permutation(w: Sequence[int]) -> bool:
     return sorted(w) == list(range(1, len(w) + 1)) and {int}.issuperset(map(type, w))
 
 
+class Permutation(tuple):
+    """A tuple that the code which made it knows to be a permutation of 1..n:
+    `verify.symmetric_group` checks a chunk's head once for all the words it
+    yields.  `check_permutation` accepts one without reading its letters, so
+    only code that has checked them may make one."""
+
+    __slots__ = ()
+
+
 def check_permutation(w: Sequence[int]) -> None:
-    if not is_permutation(w):
+    if type(w) is not Permutation and not is_permutation(w):
         raise ValueError(f"not a permutation of 1..{len(w)}: {tuple(w)}")
 
 

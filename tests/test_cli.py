@@ -393,9 +393,9 @@ class TestThinWrapper:
 @pytest.mark.parametrize(
     "argv, err",
     [
-        (["map", "p", "1122"], "error: map 'p' needs a permutation of 1..n\n"),
-        (["map", "rc", "22"], "error: map 'rc' needs a permutation of 1..n\n"),
-        (["rsk", "1122"], "error: rsk needs a permutation of 1..n\n"),
+        (["map", "p", "1122"], "error: not a permutation of 1..4: (1, 1, 2, 2)\n"),
+        (["map", "rc", "22"], "error: not a permutation of 1..2: (2, 2)\n"),
+        (["rsk", "1122"], "error: not a permutation of 1..4: (1, 1, 2, 2)\n"),
         (
             ["pattern", "21", "123", "--cap", "2"],
             "error: a 2-letter pattern in 3 letters has 3 index tuples, more than the cap 2\n",

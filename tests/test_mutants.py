@@ -106,6 +106,12 @@ def evacuation_wrong_on_one_tableau(m):
     m.setitem(tableaux._EVACUATED, (0, 0, 1, 1), (0, 1, 0, 1))
 
 
+def switch_wrong_on_one_subword(m):
+    """`phi`'s memo answers the subword 123 with 132; `foata_j` fixes 123."""
+    real = involution._switch
+    m.setattr(involution, "_switch", lambda w: (1, 3, 2) if w == (1, 2, 3) else real(w))
+
+
 UNCAUGHT = pytest.mark.xfail(strict=True, reason="no check pins this column yet (ROADMAP item 2)")
 
 
@@ -193,6 +199,11 @@ MUTANTS = [
         "the evacuation of 12/34 is 13/24",
         evacuation_wrong_on_one_tableau,
         ("thm-1.3", "cor-1.4", "cor-1.5", "lemma-3.1", "lemma-3.5"),
+    ),
+    row(
+        "the switch of 123 is 132",
+        switch_wrong_on_one_subword,
+        ("thm-1.3", "cor-1.4", "cor-1.5", "lemma-3.5"),
     ),
     row(
         "phi_on_class is the identity",

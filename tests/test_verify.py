@@ -90,6 +90,20 @@ class TestEnumeration:
         cube = list(verify.word_cube(2, 3))
         assert len(cube) == 8 and cube[0] == (1, 1, 1) and cube[-1] == (2, 2, 2)
 
+    def test_heads_give_the_words_that_begin_with_them(self):
+        assert list(verify.symmetric_group(3, 2, 3)) == [(2, 3, 1)]
+        assert list(verify.word_cube(3, 3, 2, 2)) == [(2, 2, 1), (2, 2, 2), (2, 2, 3)]
+
+    @pytest.mark.parametrize("head", [(5,), (4,), (1.0,), (True,), (1, 1), (1, 2, 3, 4)])
+    def test_symmetric_group_refuses_a_head_of_no_permutation_of_1_to_n(self, head):
+        with pytest.raises(ValueError, match="head of S_3"):
+            verify.symmetric_group(3, *head)
+
+    @pytest.mark.parametrize("head", [(4,), (0,), (1.0,), (1, 1, 1)])
+    def test_word_cube_refuses_a_head_of_no_word_of_the_cube(self, head):
+        with pytest.raises(ValueError, match=r"head of \[3\]\^2"):
+            verify.word_cube(3, 2, *head)
+
 
 class TestCompatibleSet:
     """The permutations compatible with a multiset are the codes of its
@@ -1088,10 +1102,13 @@ class TestFusedPass:
 
 
 class TestEnumeratedWords:
-    """The permutations a chunk's enumerator made go to the maps' bodies,
-    unchecked; only images, output of the map under test, are checked."""
+    """The S_n enumerator yields `words.Permutation`s, which the maps accept
+    unchecked; an image, output of the map under test, is a plain tuple and
+    is checked.  A wrapper bound in a map's place passes the type through."""
 
-    def test_thm_1_3_checks_only_the_images_it_maps_back(self, monkeypatch):
+    def checked_by_thm_1_3(self, monkeypatch):
+        """The words `words.is_permutation` reads in thm-1.3 at n=5, and the
+        images the walk maps back."""
         vouched, mapped_back = set(), []
         for w in verify.symmetric_group(5):
             image = involution.phi(w)
@@ -1100,13 +1117,30 @@ class TestEnumeratedWords:
                 mapped_back.append(image)
         checked = []
 
-        def counting(w, check=words.check_permutation):
+        def counting(w, is_permutation=words.is_permutation):
             checked.append(tuple(w))
-            check(w)
+            return is_permutation(w)
 
-        monkeypatch.setattr(involution, "check_permutation", counting)
+        monkeypatch.setattr(words, "is_permutation", counting)
         assert verify.check("thm-1.3", verify.CheckBounds(n=5)).passed
-        assert checked == mapped_back and 0 < len(checked) < math.factorial(5)
+        assert 0 < len(mapped_back) < math.factorial(5)
+        return checked, mapped_back
+
+    def test_thm_1_3_checks_only_the_images_it_maps_back(self, monkeypatch):
+        checked, mapped_back = self.checked_by_thm_1_3(monkeypatch)
+        assert checked == mapped_back
+
+    def test_a_pass_through_wrapper_of_phi_checks_the_same_words(self, monkeypatch):
+        real = involution.phi
+        monkeypatch.setattr(involution, "phi", lambda p: real(p))
+        checked, mapped_back = self.checked_by_thm_1_3(monkeypatch)
+        assert checked == mapped_back
+
+    @pytest.mark.parametrize("fn", [involution.phi, involution.burstein_p, tableaux.foata_j])
+    def test_the_maps_refuse_a_plain_tuple_that_is_no_permutation(self, fn):
+        for w in [(1, 1, 2), (2, 3, 4), (1.0, 2, 3)]:
+            with pytest.raises(ValueError, match="not a permutation"):
+                fn(w)
 
     @pytest.mark.parametrize(
         "name, map_name", [("thm-1.3", "phi"), ("lemma-3.5", "phi"), ("thm-1.1", "burstein_p")]
@@ -1122,17 +1156,10 @@ class TestEnumeratedWords:
         assert verify.check(name, verify.CheckBounds(n=5)).passed
         assert set(received) == set(verify.symmetric_group(5))
 
-    @pytest.mark.parametrize(
-        "module, body, name",
-        [
-            (tableaux, "_foata_j", "lemma-3.1"),
-            (involution, "_phi", "thm-1.3"),
-            (involution, "_burstein_p", "thm-1.1"),
-        ],
-    )
+    @pytest.mark.parametrize("module, body, name", [(tableaux, "_foata_j", "lemma-3.1")])
     def test_a_patched_body_is_the_one_checked(self, monkeypatch, module, body, name):
-        """The identity in place of a map's body fails the check that the
-        enumerated permutations reach through that body."""
+        """The identity in place of `foata_j`'s kernel fails lemma-3.1, whose
+        permutations reach it through `foata_j`."""
         monkeypatch.setattr(module, body, tuple)
         assert not verify.check(name, verify.CheckBounds(n=4)).passed
 
