@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Measure one checkout of the package and add the record to a BENCH file.
 
-A record holds three things:
+A record holds four things:
 
+- the number of lines of `mahonian/*.py`, the library's size;
 - the cold start of `python -m mahonian stats 212231`: the median wall time
   and peak RSS of 30 fresh processes, and the median cumulative
   `-X importtime` of `mahonian.cli`, with bytecode cached;
@@ -146,6 +147,7 @@ def main() -> int:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+        "src_lines": sum(len(p.read_text().splitlines()) for p in src.glob("mahonian/*.py")),
         "cold_start": cold_start(src, RUNS),
         f"us_per_call_on_S_{args.n}": per_call(
             (involution, patterns, tableaux, verify, words), args.n, PASSES

@@ -214,7 +214,8 @@ def _stat(w: Sequence[int], d: frozenset[int]) -> int:
     >>> stat((4, 3, 4, 4, 2, 1, 6, 5, 1))
     21
     """
-    return (len(w) + 1) * len(d) - sum(1 for x in w if x < w[0]) - sum(d)
+    first = w[0] if w else 0
+    return (len(w) + 1) * len(d) - sum(1 for x in w if x < first) - sum(d)
 
 
 def first_letter(w: Sequence[int]) -> int:

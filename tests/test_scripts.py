@@ -28,13 +28,6 @@ def test_class_distribution():
     assert "equal distributions: True" in proc.stdout
 
 
-def test_run_checks():
-    proc = run_script("run_checks.py", "--n", "3", "--alphabet", "2")
-    assert proc.returncode == 0, proc.stderr
-    rows = proc.stdout.splitlines()[1:]
-    assert len(rows) == 10 and all(row.endswith("PASS") for row in rows)
-
-
 def load_bench():
     spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
     bench = importlib.util.module_from_spec(spec)
@@ -61,6 +54,8 @@ def test_bench_adds_a_record(tmp_path):
     assert proc.returncode == 0, proc.stderr
     record = json.loads(out.read_text())
     assert list(record) == ["parent", "change"] and record["parent"] == {}
+    src_lines = sum(len(p.read_text().splitlines()) for p in ROOT.glob("src/mahonian/*.py"))
+    assert record["change"]["src_lines"] == src_lines
     assert record["change"]["cold_start"]["runs"] == 30
     assert len(record["change"]["us_per_call_on_S_3"]) == 11
     groups = record["change"]["fused_group_s_at_n3_over_2"]

@@ -2,6 +2,7 @@
 import math
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -13,6 +14,8 @@ from mahonian.errors import BoundTooLargeError, UnknownNameError
 random_multisets = st.lists(st.integers(1, 4), min_size=0, max_size=6).map(
     lambda xs: tuple(sorted(xs))
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TABLE_1122 = Counter(
     {
@@ -85,6 +88,9 @@ class TestEnumeration:
         assert verify.multinomial((1, 1, 2, 2)) == 6
         assert verify.multinomial(()) == 1
         assert verify.multinomial((1, 2, 3, 4)) == 24
+        for k in range(1, 30):
+            assert verify.multinomial((1,) * k + (2,)) == k + 1
+            assert verify.multinomial(range(1, k + 1)) == math.factorial(k)
 
     def test_word_cube(self):
         cube = list(verify.word_cube(2, 3))
@@ -212,6 +218,18 @@ class TestCheck:
         monkeypatch.setattr(verify, "multisets", refuse)
         with pytest.raises(BoundTooLargeError):
             verify.check(name, verify.CheckBounds(n=8, alphabet=60, cap=1000))
+
+    def test_long_class_refused_without_its_factorial(self, monkeypatch):
+        """prop-2.4 on one class holds k! to the cap without computing it whole."""
+        factorial = math.factorial
+
+        def small_factorial(k):
+            assert k <= 1000, f"{k}! computed before the cap check"
+            return factorial(k)
+
+        monkeypatch.setattr(math, "factorial", small_factorial)
+        with pytest.raises(BoundTooLargeError):
+            verify.check("prop-2.4", verify.CheckBounds(word=(1,) * 20000 + (2,)))
 
     def test_cap_counts_in_closed_form(self):
         with pytest.raises(BoundTooLargeError, match="needs 23 instances"):
@@ -948,8 +966,11 @@ class TestRunAll:
             ["PASS prop-2.4 (classes with n<=3, letters<=2): 9 instances"],
         ]
 
-    def test_summaries_cover_all_checks(self):
-        assert set(verify.CHECK_SUMMARIES) == set(verify.CHECK_IDS)
+    def test_readme_table_lists_every_check_in_order(self):
+        """README's "Verification checks" table is the one description of the checks."""
+        section = (ROOT / "README.md").read_text().split("## Verification checks", 1)[1]
+        rows = section.split("\n\n", 2)[1].splitlines()[2:]  # below the header and its rule
+        assert tuple(row.split("`")[1] for row in rows) == verify.CHECK_IDS
 
 
 def _patched(target, name, fault):
@@ -1048,7 +1069,7 @@ class TestFusedPass:
             def step(self, w):
                 held[w] = set(self.memo)
 
-        monkeypatch.setitem(verify._CHECKS, "spy", verify._Check("", verify.symmetric_group, Spy))
+        monkeypatch.setitem(verify._CHECKS, "spy", verify._Check(verify.symmetric_group, Spy))
         names = ("thm-1.1", "thm-1.3", "lemma-3.1", "lemma-3.4", "lemma-3.5", "spy")
         assert verify._fused(names, verify.symmetric_group(6, 3)) == [None] * len(names)
         assert list(held) == list(verify.symmetric_group(6, 3))
