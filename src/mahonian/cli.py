@@ -19,7 +19,6 @@ from typing import Sequence
 from . import involution, patterns, tableaux, verify, words
 from .errors import DEFAULT_CAP, EmptyInputError, InternalInvariantError, refuse_over_cap
 
-# Table column order: Adj, des, ides, F, IMAJ, MAJ, STAT.
 DEFAULT_SCHEMA = ("adj", "des", "ides", "F", "imaj", "maj", "stat")
 
 # `stats` prints every statistic, the three index sets last.
@@ -174,10 +173,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="tabulate statistics over a rearrangement class")
     p_table.add_argument("multiset", help="any word of the class, e.g. \"1122\"")
+    columns = ",".join(words.HEADINGS[name] for name in DEFAULT_SCHEMA)
     p_table.add_argument(
         "--schema",
-        default=None,
-        help="comma-separated statistic columns (default Adj,des,ides,F,IMAJ,MAJ,STAT)",
+        help=f"comma-separated statistic columns (default {columns})",
     )
     p_table.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p_table.add_argument("--cap", type=int, default=DEFAULT_CAP)

@@ -245,10 +245,10 @@ def _raised(shown: str, exc: Exception) -> Counterexample:
     )
 
 
-# A judge sees one chunk's words in order.  It is given its pass's memo when
-# it starts: word -> {map or statistic name -> value}, cleared before each
-# word, so that each image and statistic of the word, and of its images, is
-# computed once for every judge of the pass.  Judges read statistics through
+# A judge sees one chunk's words in order, started given the chunk's arguments
+# and its pass's memo: word -> {map or statistic name -> value}, cleared before
+# each word, so that each image and statistic of the word, and of its images,
+# is computed once for every judge of the pass.  Judges read statistics through
 # `words.profile` with the word's row, and maps through `_image`.
 
 
@@ -274,7 +274,7 @@ class _Judge:
 class _Each(_Judge):
     """Applies `predicate(memo, w)` to each word."""
 
-    def __init__(self, predicate: Callable, memo) -> None:
+    def __init__(self, predicate: Callable, memo, args: tuple) -> None:
         self.step = functools.partial(predicate, memo)
 
 
@@ -292,7 +292,7 @@ class _SwapWalk(_Judge):
     never looks back: a word whose image precedes it and that is not vouched
     for fails, since its image does not map back to it."""
 
-    def __init__(self, map_name: str, schema: Sequence[str], memo) -> None:
+    def __init__(self, map_name: str, schema: Sequence[str], memo, args: tuple) -> None:
         self.map_name, self.schema, self.memo = map_name, schema, memo
         self.image_schema = _swapped(schema)
         self.columns = [schema.index(name) for name in self.image_schema]
@@ -340,25 +340,22 @@ def _pred_code_sums(memo, w):
 
 
 class _CubeTally(_Judge):
-    """thm-1.2 on one chunk of a cube [a]^k: the sextuple's distribution must
-    equal itself with MAJ and STAT exchanged.  The chunk's last word,
-    (f, a, ..., a) or (a,), names the cube."""
+    """thm-1.2 on one chunk (a, k, ...) of a cube [a]^k: the sextuple's
+    distribution must equal itself with MAJ and STAT exchanged."""
 
-    def __init__(self, memo) -> None:
-        self.memo, self.counts, self.raised, self.last = memo, Counter(), None, None
+    def __init__(self, memo, args: tuple) -> None:
+        a, k, *_ = args
+        self.memo, self.counts, self.cube = memo, Counter(), f"[{a}]^{k}"
 
-    def step(self, w) -> None:
-        self.last = w
+    def step(self, w) -> Counterexample | None:
         try:
             self.counts[words.profile(w, _CUBE_SCHEMA, self.memo[w])] += 1
-        except Exception as exc:  # the cube fails; read on to its last word to name it
-            self.raised = self.raised or exc
+        except Exception as exc:  # the cube fails, named by its chunk
+            return _raised(self.cube, exc)
+        return None
 
     def verdict(self) -> Counterexample | None:
-        w, left = self.last, self.counts
-        cube = f"[{max(w)}]^{len(w)}"
-        if self.raised is not None:
-            return _raised(cube, self.raised)
+        left = self.counts
         # The swapped distribution re-indexes the columns of the same one:
         # the swapped schema permutes the schema, so no two tuples share a key.
         columns = [_CUBE_SCHEMA.index(name) for name in _CUBE_SWAPPED]
@@ -367,7 +364,7 @@ class _CubeTally(_Judge):
             return None
         bad = min(t for t in set(left) | set(right) if left[t] != right[t])
         return Counterexample(
-            input=cube,
+            input=self.cube,
             expected=f"multiplicity of {bad} in the (.., MAJ, STAT) distribution = {left[bad]}",
             actual=f"multiplicity in the (.., STAT, MAJ) distribution = {right[bad]}",
         )
@@ -426,7 +423,7 @@ class _Characterizations(_Judge):
     a class that disagrees builds the inverse-descent set, to name the stray
     permutation."""
 
-    def __init__(self, memo) -> None:
+    def __init__(self, memo, args: tuple) -> None:
         self.ids = statistic("Id-set")
         self.counts = functools.cache(lambda k: Counter(map(self.ids, symmetric_group(k))))
 
@@ -482,7 +479,7 @@ def _given(*instances: Word):
 
 class _Check(NamedTuple):
     chunk: Callable[..., Iterable]
-    start: Callable[..., _Judge]  # a fresh judge of one chunk, given its pass's memo
+    start: Callable[..., _Judge]  # a fresh judge of one chunk, given its pass's memo and args
 
 
 _CHECKS: dict[str, _Check] = {
@@ -549,15 +546,15 @@ class _Task(NamedTuple):
     size: int  # the chunk's closed-form size, which orders the pool's queue
 
 
-def _fused(names: Sequence[str], instances: Iterable) -> list[Counterexample | None]:
-    """Each named check's first failure on one chunk, read once: each word
-    goes, in check order, to every judge that has not failed, and one memo
-    lets them share the word's images and statistics."""
+def _fused(task: _Task) -> list[Counterexample | None]:
+    """Each of the task's checks' first failure on its chunk, read once: each
+    word goes, in check order, to every judge that has not failed, and one
+    memo lets them share the word's images and statistics."""
     memo = defaultdict(dict)
-    judges = [_CHECKS[name].start(memo) for name in names]
+    judges = [_CHECKS[name].start(memo, task.args) for name in task.names]
     failures: list[Counterexample | None] = [None] * len(judges)
     live = list(enumerate(judges))
-    for w in instances:
+    for w in _CHECKS[task.names[0]].chunk(*task.args):
         memo.clear()
         for i, judge in live:
             try:
@@ -571,10 +568,6 @@ def _fused(names: Sequence[str], instances: Iterable) -> list[Counterexample | N
     for i, judge in live:
         failures[i] = judge.verdict()
     return failures
-
-
-def _run_task(task: _Task) -> list[Counterexample | None]:
-    return _fused(task.names, _CHECKS[task.names[0]].chunk(*task.args))
 
 
 def ProcessPoolExecutor(max_workers: int):
@@ -598,10 +591,10 @@ def _execute(tasks: list[_Task], jobs: int) -> list[list[Counterexample | None]]
     largest first, so that the smallest tasks fill the end of the run."""
     workers = min(jobs, _usable_cpus(), len(tasks))
     if workers <= 1:
-        return [_run_task(task) for task in tasks]
+        return [_fused(task) for task in tasks]
     order = sorted(range(len(tasks)), key=lambda i: -tasks[i].size)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = dict(zip(order, pool.map(_run_task, [tasks[i] for i in order])))
+        results = dict(zip(order, pool.map(_fused, [tasks[i] for i in order])))
     return [results[i] for i in range(len(tasks))]
 
 

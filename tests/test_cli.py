@@ -100,6 +100,18 @@ class TestMap:
         code, out, err = run_cli(capsys, "map", "rc", ",")
         assert (code, out) == (2, "") and "empty word text" in err
 
+    def test_a_shape_mismatch_in_j_is_an_internal_fault(self, capsys, monkeypatch):
+        real = tableaux._insert
+
+        def planted(w):  # the reverse-complement of 1243 is 2134; insert it in one row
+            rows, row_of_step = real(w)
+            return ([sorted(w)], row_of_step) if list(w) == [2, 1, 3, 4] else (rows, row_of_step)
+
+        monkeypatch.setattr(tableaux, "_insert", planted)
+        code, out, err = run_cli(capsys, "map", "j", "1243")
+        assert (code, out) == (1, "")
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+
     def test_a_broken_switch_is_an_internal_fault_not_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr(tableaux, "_foata_j", lambda w: w[:1] * len(w))
         code, out, err = run_cli(capsys, "map", "phi", "2413")

@@ -162,6 +162,12 @@ class TestParse:
         with pytest.raises(ParseError):
             patterns.parse_pattern(bad)
 
+    @pytest.mark.parametrize("letters, glued", [((), ()), ((1, 2), ())])
+    def test_rejects_flags_that_miss_a_letter_pair(self, letters, glued):
+        """A pattern needs a letter, and one adjacency flag per neighbouring pair."""
+        with pytest.raises(ParseError):
+            patterns.VincularPattern(letters, glued)
+
     def test_str_roundtrip(self):
         for text in ALL_NAMED_PATTERNS:
             assert str(patterns.parse_pattern(text)) == text

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mahonian import involution, tableaux, words
-from mahonian.errors import NotStandardError, ShapeMismatchError
+from mahonian.errors import InternalInvariantError, NotStandardError, ShapeMismatchError
 from mahonian.tableaux import Tableau, foata_j, inverse_rsk, rsk
 from mahonian.verify import symmetric_group
 
@@ -134,6 +134,17 @@ class TestFoataJ:
     @given(long_perms)
     def test_equals_inverse_rsk_of_public_tableaux_long(self, p):
         assert foata_j(p) == switch_by_tableaux(p)
+
+    def test_a_shape_mismatch_is_an_internal_fault(self, monkeypatch):
+        real = tableaux._insert
+
+        def planted(w):  # the reverse-complement of 1243 is 2134; insert it in one row
+            rows, row_of_step = real(w)
+            return ([sorted(w)], row_of_step) if list(w) == [2, 1, 3, 4] else (rows, row_of_step)
+
+        monkeypatch.setattr(tableaux, "_insert", planted)
+        with pytest.raises(InternalInvariantError, match="shape"):
+            foata_j((1, 2, 4, 3))
 
     def test_preserves_id_reflects_d(self):
         for n in range(1, 6):

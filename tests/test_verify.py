@@ -800,7 +800,7 @@ class TestPairWalk:
                 naive = naive_swap_judge(map_name, SWAP_SCHEMAS[name])
                 # the naive judge keeps nothing between words, so it can judge one at a time
                 alone = SimpleNamespace(step=lambda w: naive([w]), verdict=lambda: None)
-                naive_check = verify._CHECKS[name]._replace(start=lambda look: alone)
+                naive_check = verify._CHECKS[name]._replace(start=lambda look, args: alone)
                 m.setitem(verify._CHECKS, name, naive_check)
                 assert (
                     verify.check(name, verify.CheckBounds(n=5, alphabet=3), sweep=True).lines()
@@ -1063,7 +1063,7 @@ class TestFusedPass:
         held = {}
 
         class Spy(verify._Judge):
-            def __init__(self, memo):
+            def __init__(self, memo, args):
                 self.memo = memo
 
             def step(self, w):
@@ -1071,14 +1071,14 @@ class TestFusedPass:
 
         monkeypatch.setitem(verify._CHECKS, "spy", verify._Check(verify.symmetric_group, Spy))
         names = ("thm-1.1", "thm-1.3", "lemma-3.1", "lemma-3.4", "lemma-3.5", "spy")
-        assert verify._fused(names, verify.symmetric_group(6, 3)) == [None] * len(names)
+        assert verify._fused(verify._Task(names, (6, 3), 0)) == [None] * len(names)
         assert list(held) == list(verify.symmetric_group(6, 3))
         for w, keys in held.items():
             assert w in keys and keys <= {w, involution.phi(w), involution.burstein_p(w)}, w
         assert max(map(len, held.values())) == 3
         held.clear()
         names = ("thm-1.2", "eq-2", "spy")
-        assert verify._fused(names, verify.word_cube(3, 5, 2)) == [None] * len(names)
+        assert verify._fused(verify._Task(names, (3, 5, 2), 0)) == [None] * len(names)
         assert list(held) == list(verify.word_cube(3, 5, 2))
         for w, keys in held.items():
             assert w in keys and keys <= {w, words.code(w)}, w
