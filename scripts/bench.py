@@ -85,11 +85,14 @@ def per_call(lib, n, passes):
         "inverse_descent_set": words.inverse_descent_set,
         "code": words.code,
         "adj": words.adj,
+        "stat": words.stat,
         "profile of _SWAP_SCHEMA": lambda p: words.profile(p, verify._SWAP_SCHEMA),
         "profile of _ADJ_SCHEMA": lambda p: words.profile(p, verify._ADJ_SCHEMA),
         "burstein_p": involution.burstein_p,
         "phi": involution.phi,
+        "phi_on_class": involution.phi_on_class,  # a permutation is a word of its own class
         "foata_j": tableaux.foata_j,
+        "rsk": tableaux.rsk,
         'eval_sum("STAT_w")': lambda p: patterns.eval_sum("STAT_w", p),
     }
     domain = list(permutations(range(1, n + 1)))
@@ -124,7 +127,7 @@ def fused_groups(verify, n, alphabet, passes):
     return out
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
@@ -133,7 +136,7 @@ def main() -> int:
     parser.add_argument("--src", type=Path, default=SRC, help="the directory holding mahonian/")
     parser.add_argument("--n", type=int, default=7, help="size and word length (default 7)")
     parser.add_argument("--alphabet", type=int, default=3, help="letter bound (default 3)")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     if min(args.n, args.alphabet) < 1:
         parser.error("--n and --alphabet must be positive")
 

@@ -21,7 +21,7 @@ image is t = p_1 and then, for each x of p_n, ..., p_2, the next letter of
 the switched top (plus t) if x > t, else of the switched bottom.
 Reverse-complement reads a subword backwards, as this walk does, so
 `burstein_p` sends x to its complement in t+1..n or 1..t-1: n+1+t-x or t-x.
-`phi` switches its subwords through the caches of :mod:`mahonian.tableaux`.
+`phi` switches its subwords through `tableaux.switch`, which owns the memo.
 The maps check their input, except a `words.Permutation`, which its maker
 has already checked.
 """
@@ -31,9 +31,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import EmptyInputError, InternalInvariantError, InvalidTripleError
-from .tableaux import _CACHED_LETTERS, _switch, _switched
-from .tableaux import foata_j  # foata_j stays importable from here
-from .words import Word, check_permutation, code, decode, format_word, shuffle_set
+from .tableaux import foata_j, switch  # foata_j stays importable from here
+from .words import Permutation, Word, check_permutation, code, decode, format_word, shuffle_set
 
 
 @dataclass(frozen=True)
@@ -132,8 +131,8 @@ def phi(p: Sequence[int]) -> Word:
     t = p[0]
     top = tuple(x - t for x in p if x > t)
     bottom = tuple(x for x in p if x < t)
-    highs = iter(_switch(top) if len(top) <= _CACHED_LETTERS else _switched(top))
-    lows = iter(_switch(bottom) if len(bottom) <= _CACHED_LETTERS else _switched(bottom))
+    highs = iter(switch(top))
+    lows = iter(switch(bottom))
     return (t, *[next(highs) + t if x > t else next(lows) for x in p[:0:-1]])
 
 
@@ -156,13 +155,13 @@ def burstein_p(p: Sequence[int]) -> Word:
 def phi_on_class(v: Sequence[int]) -> Word:
     """Transfer `phi` to the rearrangement class of a word: code, act, decode.
 
-    Well-defined since `phi` keeps Id, so its image stays compatible; the word
-    is validated once, by `phi`, and an image that `decode` refuses is a fault.
+    Well-defined since `phi` keeps Id, so its image stays compatible; `phi`
+    takes `code(v)` unread, and an image that `decode` refuses is a fault.
 
     >>> phi_on_class((4, 3, 4, 4, 2, 1, 6, 5, 1))
     (4, 1, 6, 4, 3, 2, 4, 5, 1)
     """
-    image = phi(code(v))  # code(()) raises EmptyInputError
+    image = phi(Permutation(code(v)))  # code(()) raises EmptyInputError
     try:
         return decode(image, v)
     except ValueError as exc:  # code(v) is compatible and phi keeps Id

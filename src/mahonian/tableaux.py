@@ -17,7 +17,7 @@ rc(p) and stores the rows, each a function of Q(p) alone.
 
 A sweep meets the same few standardized subwords many times (the
 permutations of size at most 7 have 874 of them), so `phi` switches them
-through `_switch`, which keeps the switched forms of up to 1,024 subwords.
+through `switch`, whose memo `_switch` keeps up to 1,024 switched subwords.
 Both caches take only words of at most `_CACHED_LETTERS` (10) letters.
 That admits every subword of a permutation of up to 11 letters, and bounds
 `_EVACUATED` by the 13,231 standard tableaux of 1..10 cells (a few MB).  A
@@ -198,3 +198,8 @@ def _switched(w: Word) -> Word:
 # A bigger memo helps little at n = 9, and this one stays under a megabyte.
 # An image is checked once, when computed; a refusal is not cached.
 _switch = functools.lru_cache(maxsize=1024)(_switched)
+
+
+def switch(w: Word) -> Word:
+    """The switched form of a standardized subword, memoized up to `_CACHED_LETTERS`."""
+    return _switch(w) if len(w) <= _CACHED_LETTERS else _switched(w)

@@ -714,7 +714,8 @@ def _build(name: str, bounds: CheckBounds, sweep: bool):
         if by_size:
             work += _sum_past(_factorials(n, limit), limit)
         chunks = _class_chunks(bounds, by_size)
-    refuse_over_cap(f"{name} over {domain} needs", work, "instances", bounds.cap)
+    noun = "words and permutations" if by_size else "instances"
+    refuse_over_cap(f"{name} over {domain} needs", work, noun, bounds.cap)
     instances = work
     if by_size:  # prop-2.4's instances are its multisets; its cap also counts S_k
         instances = 1 if bounds.word is not None else math.comb(m + n, n) - 1

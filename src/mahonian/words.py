@@ -45,10 +45,10 @@ def is_permutation(w: Sequence[int]) -> bool:
 
 
 class Permutation(tuple):
-    """A tuple that the code which made it knows to be a permutation of 1..n:
-    `verify.symmetric_group` checks a chunk's head once for all the words it
-    yields.  `check_permutation` accepts one without reading its letters, so
-    only code that has checked them may make one."""
+    """A tuple its maker knows to be a permutation of 1..n: `verify.symmetric_group`
+    (a chunk's head, checked once) or `involution.phi_on_class` (`code`'s ranks).
+    `check_permutation` accepts one without reading its letters, so only code
+    that has checked them may make one."""
 
     __slots__ = ()
 

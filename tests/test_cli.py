@@ -464,7 +464,8 @@ class TestThinWrapper:
         (["table", "112", "--schema", "des,MAJ,maj"], "error: --schema names MAJ twice\n"),
         (
             ["verify", "prop-2.4", "--word", "1" * 1999 + "2"],
-            "error: prop-2.4 over R(1^1999 2) needs more instances than the cap 10000000\n",
+            "error: prop-2.4 over R(1^1999 2) needs more words and permutations"
+            " than the cap 10000000\n",
         ),
     ],
 )

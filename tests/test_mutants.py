@@ -108,8 +108,8 @@ def evacuation_wrong_on_one_tableau(m):
 
 def switch_wrong_on_one_subword(m):
     """`phi`'s memo answers the subword 123 with 132; `foata_j` fixes 123."""
-    real = involution._switch
-    m.setattr(involution, "_switch", lambda w: (1, 3, 2) if w == (1, 2, 3) else real(w))
+    real = tableaux._switch
+    m.setattr(tableaux, "_switch", lambda w: (1, 3, 2) if w == (1, 2, 3) else real(w))
 
 
 UNCAUGHT = pytest.mark.xfail(strict=True, reason="no check pins this column yet (ROADMAP item 2)")

@@ -41,22 +41,27 @@ def test_bench_parts():
     assert cold["runs"] == 2 and cold["wall_ms_median"] > 0
     assert cold["peak_rss_mb_median"] > 0 and cold["import_mahonian_cli_us_median"] > 0
     rows = bench.per_call((involution, patterns, tableaux, verify, words), 3, 1)
-    assert len(rows) == 11 and all(us > 0 for us in rows.values())
+    assert len(rows) == 14 and all(us > 0 for us in rows.values())
     groups = bench.fused_groups(verify, 3, 2, 1)
     assert sorted(name for group in groups for name in group["checks"]) == sorted(verify.CHECK_IDS)
 
 
-def test_bench_adds_a_record(tmp_path):
-    """At the default 30 cold starts, so one call at a small n."""
+def test_bench_adds_a_record(tmp_path, monkeypatch, capsys):
+    """In process, with 2 cold starts in place of the default 30."""
+    bench = load_bench()
+    assert bench.RUNS == 30
+    monkeypatch.setattr(bench, "RUNS", 2)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main puts --src first
     out = tmp_path / "bench.json"
     out.write_text('{"parent": {}}\n')
-    proc = run_script("bench.py", "--out", str(out), "--n", "3", "--alphabet", "2", "--label", "change")
-    assert proc.returncode == 0, proc.stderr
+    argv = ["--out", str(out), "--n", "3", "--alphabet", "2", "--label", "change"]
+    assert bench.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["runs"] == 2
     record = json.loads(out.read_text())
     assert list(record) == ["parent", "change"] and record["parent"] == {}
     src_lines = sum(len(p.read_text().splitlines()) for p in ROOT.glob("src/mahonian/*.py"))
     assert record["change"]["src_lines"] == src_lines
-    assert record["change"]["cold_start"]["runs"] == 30
-    assert len(record["change"]["us_per_call_on_S_3"]) == 11
+    assert record["change"]["cold_start"]["runs"] == 2
+    assert len(record["change"]["us_per_call_on_S_3"]) == 14
     groups = record["change"]["fused_group_s_at_n3_over_2"]
     assert sorted(name for group in groups for name in group["checks"]) == sorted(verify.CHECK_IDS)

@@ -197,6 +197,13 @@ class TestEvacuated:
         involution.phi((1, *range(2, n + 2)))
         assert tableaux._switch.cache_info().currsize == 1 + stored
 
+    @pytest.mark.parametrize("n, stored", [(10, 1), (11, 0)])
+    def test_switch_memoizes_up_to_the_letter_bound(self, n, stored):
+        """`switch` is `phi`'s one way to the memo, and applies the bound."""
+        w = tuple(range(n, 0, -1))
+        assert tableaux.switch(w) == tableaux.switch(w) == foata_j(w)
+        assert tableaux._switch.cache_info().currsize == stored
+
 
 @pytest.mark.parametrize(
     "module, name, checks",

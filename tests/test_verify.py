@@ -232,7 +232,7 @@ class TestCheck:
             verify.check("prop-2.4", verify.CheckBounds(word=(1,) * 20000 + (2,)))
 
     def test_cap_counts_in_closed_form(self):
-        with pytest.raises(BoundTooLargeError, match="needs 23 instances"):
+        with pytest.raises(BoundTooLargeError, match="needs 23 words and permutations, more"):
             verify.check("prop-2.4", verify.CheckBounds(n=3, alphabet=2, cap=1))
         with pytest.raises(BoundTooLargeError, match="needs 14 instances"):
             verify.check("cor-1.4", verify.CheckBounds(n=3, alphabet=2, cap=1))
@@ -251,7 +251,8 @@ class TestCheck:
             ("cor-1.5", False, class_words),
             ("prop-2.4", False, class_words + perms),
         ]:
-            with pytest.raises(BoundTooLargeError, match=f"needs {count} instances"):
+            noun = "words and permutations" if name == "prop-2.4" else "instances"
+            with pytest.raises(BoundTooLargeError, match=f"needs {count} {noun}, more"):
                 verify.check(
                     name, verify.CheckBounds(n=n, alphabet=alphabet, cap=count - 1), sweep=sweep
                 )
@@ -856,8 +857,8 @@ class TestRunAll:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (
-            "error: prop-2.4 over classes with n<=5, letters<=2 needs 215 instances,"
-            " more than the cap 200\n"
+            "error: prop-2.4 over classes with n<=5, letters<=2 needs 215 words"
+            " and permutations, more than the cap 200\n"
         )
 
     def test_n9_alphabet4_within_the_default_cap(self, monkeypatch, capsys):
@@ -886,7 +887,7 @@ class TestRunAll:
         assert capsys.readouterr().out.splitlines()[-1] == (
             "PASS prop-2.4 (classes with n<=9, letters<=4): 714 instances"
         )
-        with pytest.raises(BoundTooLargeError, match="needs 758637 instances"):
+        with pytest.raises(BoundTooLargeError, match="needs 758637 words and permutations"):
             verify.check("prop-2.4", verify.CheckBounds(n=9, alphabet=4, cap=758_636))
 
     def test_builds_each_check_once(self, monkeypatch):
@@ -1176,6 +1177,20 @@ class TestEnumeratedWords:
         monkeypatch.setattr(involution, map_name, recording)
         assert verify.check(name, verify.CheckBounds(n=5)).passed
         assert set(received) == set(verify.symmetric_group(5))
+
+    @pytest.mark.parametrize("name", ["cor-1.4", "cor-1.5"])
+    def test_phi_on_class_hands_phi_its_code_unread(self, monkeypatch, name):
+        """`code` returns a permutation, so `phi_on_class` wraps it as a
+        `words.Permutation` and no class word's code is read again."""
+        checked = []
+
+        def counting(w, is_permutation=words.is_permutation):
+            checked.append(tuple(w))
+            return is_permutation(w)
+
+        monkeypatch.setattr(words, "is_permutation", counting)
+        assert verify.check(name, verify.CheckBounds(n=5, alphabet=3)).passed
+        assert checked == []
 
     @pytest.mark.parametrize("module, body, name", [(tableaux, "_foata_j", "lemma-3.1")])
     def test_a_patched_body_is_the_one_checked(self, monkeypatch, module, body, name):
