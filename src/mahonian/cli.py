@@ -42,9 +42,10 @@ def _parse_schema(text: str | None) -> list[str]:
 
 
 def _rows(ws, schema: Sequence[str]) -> tuple[list[str], list[tuple]]:
-    """Headings, and one (word, statistic values) row per word."""
-    headings = [words.HEADINGS[token] for token in schema]
-    return headings, [(w, words.profile(w, schema)) for w in ws]
+    """Headings, and one (word, statistic values) row per word, read by one
+    reader of the schema."""
+    headings, read = [words.HEADINGS[token] for token in schema], words.reader(schema)
+    return headings, [(w, read(w, {})) for w in ws]
 
 
 def _json_row(w, headings: Sequence[str], values: Sequence[object]) -> dict:

@@ -129,8 +129,8 @@ def phi(p: Sequence[int]) -> Word:
     if not p:
         raise EmptyInputError("cannot act on an empty permutation")
     t = p[0]
-    top = tuple(x - t for x in p if x > t)
-    bottom = tuple(x for x in p if x < t)
+    top = tuple([x - t for x in p if x > t])
+    bottom = tuple([x for x in p if x < t])
     highs = iter(switch(top))
     lows = iter(switch(bottom))
     return (t, *[next(highs) + t if x > t else next(lows) for x in p[:0:-1]])

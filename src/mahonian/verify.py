@@ -25,9 +25,10 @@ A task is one chunk, judged in one pass by every check of the run that
 shares its chunk function: a single check is a pass of one, and `run_all`
 runs one pass per chunk for the five S_n checks, for thm-1.2 and eq-2, and
 for cor-1.4 and cor-1.5.  A pass hands each word to every check that has
-not failed yet, and computes each image and statistic of the word and of
-its images once for all of them, reading statistics through
-`words.profile`; its memo keeps nothing from one word to the next.  Each
+not failed yet, with a row made afresh for the word, in which each image
+and statistic of the word and of its images is computed once for all of
+them: statistics read by `words.reader`s that each check builds when the
+pass starts, and each image with its own row nested in the word's.  Each
 check keeps its own judge and first failure, and across words only what its
 verdict needs: a swap walk the images it vouched for, to skip them; thm-1.2
 its tally, judged once the slice is read; prop-2.4 its counts of S_k by
@@ -44,8 +45,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, count, groupby, islice, product
 from itertools import permutations as _permutations
@@ -134,9 +136,8 @@ def _compatible_by_id(wbar: Word) -> frozenset[Word]:
 
 def joint_distribution(domain: Iterable[Sequence[int]], schema: Sequence[str]) -> Counter:
     """Multiset of statistic tuples over a domain of words."""
-    for name in schema:
-        statistic(name)  # raises UnknownNameError on an unknown name
-    return Counter(words.profile(w, schema) for w in domain)
+    read = words.reader(schema)  # raises UnknownNameError on an unknown name
+    return Counter(read(w, {}) for w in domain)
 
 
 # ------------------------------------------------------------------ reports
@@ -205,6 +206,7 @@ _ADJ_SCHEMA = ("adj", "des", "F", "maj", "stat")
 _SEXT_SCHEMA = ("imaj", "des", "ides", "F", "maj", "stat")
 _CODE_SCHEMA = ("adj", "des", "Id-set", "maj", "stat")
 _CUBE_SCHEMA = ("adj", "des", "ides", "F", "maj", "stat")
+_SUM_SCHEMA = ("des", "maj", "F")
 
 
 def _swapped(schema: Sequence[str]) -> tuple[str, ...]:
@@ -245,37 +247,41 @@ def _raised(shown: str, exc: Exception) -> Counterexample:
     )
 
 
-# A judge sees one chunk's words in order, started given the chunk's arguments
-# and its pass's memo: word -> {map or statistic name -> value}, cleared before
-# each word, so that each image and statistic of the word, and of its images,
-# is computed once for every judge of the pass.  Judges read statistics through
-# `words.profile` with the word's row, and maps through `_image`.
+# A judge is started with its chunk's arguments when its pass starts, and
+# builds its `words.reader`s then, so they call the `STATISTICS` entries in
+# place for the pass.  It sees each word with the word's row, a dict made
+# afresh for the word and shared by every judge of the pass: the word's
+# statistics, and under a map's name (image, image's row), kept by `_image`,
+# so that each image and statistic of the word and of its images is computed
+# once for the pass, and no word is hashed to find its row.
 
 
-def _image(memo, map_name: str, w):
-    """The image of w under `involution.<map_name>`, kept in w's row.  The map
-    is read from `involution` at each call, so that a patched one is the one
-    checked."""
-    row = memo[w]
-    if map_name not in row:
-        row[map_name] = getattr(involution, map_name)(w)
-    return row[map_name]
+def _image(row: dict, map_name: str, w) -> tuple:
+    """(image of w under `involution.<map_name>`, the image's row), kept in
+    w's row; a fixed point's row is w's own.  The map is read from
+    `involution` at each call, so that a patched one is the one checked."""
+    pair = row.get(map_name)
+    if pair is None:
+        image = getattr(involution, map_name)(w)
+        pair = row[map_name] = (image, row if image == w else {})
+    return pair
 
 
 class _Judge:
-    """One check's judge of one chunk: `step(w)` judges each word in order
-    and returns its failure, if any; `verdict()` judges the chunk as a whole
-    once every word has passed."""
+    """One check's judge of one chunk: `step(w, row)` judges each word in
+    order and returns its failure, if any; `verdict()` judges the chunk as a
+    whole once every word has passed."""
 
     def verdict(self) -> Counterexample | None:
         return None
 
 
 class _Each(_Judge):
-    """Applies `predicate(memo, w)` to each word."""
+    """Applies `predicate(*readers, w, row)` to each word, with a reader of
+    each of `schemas`."""
 
-    def __init__(self, predicate: Callable, memo, args: tuple) -> None:
-        self.step = functools.partial(predicate, memo)
+    def __init__(self, predicate: Callable, schemas: Sequence[tuple], args: tuple) -> None:
+        self.step = functools.partial(predicate, *map(words.reader, schemas))
 
 
 class _SwapWalk(_Judge):
@@ -292,28 +298,27 @@ class _SwapWalk(_Judge):
     never looks back: a word whose image precedes it and that is not vouched
     for fails, since its image does not map back to it."""
 
-    def __init__(self, map_name: str, schema: Sequence[str], memo, args: tuple) -> None:
-        self.map_name, self.schema, self.memo = map_name, schema, memo
+    def __init__(self, map_name: str, schema: Sequence[str], args: tuple) -> None:
+        self.map_name, self.schema, self.read = map_name, schema, words.reader(schema)
         self.image_schema = _swapped(schema)
-        self.columns = [schema.index(name) for name in self.image_schema]
+        self.columns = operator.itemgetter(*[schema.index(name) for name in self.image_schema])
         self.vouched: set[Word] = set()
 
-    def step(self, w) -> Counterexample | None:
+    def step(self, w, row: dict) -> Counterexample | None:
         if w in self.vouched:
             self.vouched.remove(w)
             return None
-        memo, name, schema = self.memo, self.map_name, self.schema
-        image = _image(memo, name, w)
-        left = words.profile(w, schema, memo[w])
-        image_profile = left if image == w else words.profile(image, schema, memo[image])
-        right = tuple([image_profile[i] for i in self.columns])
+        name, schema = self.map_name, self.schema
+        image, image_row = _image(row, name, w)
+        left = self.read(w, row)
+        right = self.columns(left if image == w else self.read(image, image_row))
         if left != right:
             return _mismatch(w, "image", image, schema, left, self.image_schema, right)
         if image == w:
             return None
         fmt = words.format_word
         try:
-            back = _image(memo, name, image)
+            back, _ = _image(image_row, name, image)
         except Exception as exc:  # the word fails: its image cannot be mapped back
             actual = f"raised {type(exc).__name__}: {exc}"
         else:
@@ -328,12 +333,12 @@ class _SwapWalk(_Judge):
         )
 
 
-def _pred_code_sums(memo, w):
-    """eq-2: coding keeps (Adj, des, Id, MAJ) and the pattern-sum STAT, summed
-    for w and for its code."""
-    profile, columns, image = words.profile, _CODE_SCHEMA[:-1], words.code(w)
-    left = profile(w, columns, memo[w]) + (_oracle_stat(w),)
-    right = left if image == w else profile(image, columns, memo[image]) + (_oracle_stat(image),)
+def _pred_code_sums(read, w, row):
+    """eq-2: coding keeps (Adj, des, Id, MAJ), read by `read`, and the
+    pattern-sum STAT, summed for w and for its code."""
+    image = words.code(w)
+    left = read(w, row) + (_oracle_stat(w),)
+    right = left if image == w else read(image, {}) + (_oracle_stat(image),)
     if left == right:
         return None
     return _mismatch(w, "coded", image, _CODE_SCHEMA, left, _CODE_SCHEMA, right)
@@ -341,15 +346,16 @@ def _pred_code_sums(memo, w):
 
 class _CubeTally(_Judge):
     """thm-1.2 on one chunk (a, k, ...) of a cube [a]^k: the sextuple's
-    distribution must equal itself with MAJ and STAT exchanged."""
+    distribution must equal itself with MAJ and STAT exchanged.  A raise in
+    either half fails the cube, named by its chunk."""
 
-    def __init__(self, memo, args: tuple) -> None:
+    def __init__(self, args: tuple) -> None:
         a, k, *_ = args
-        self.memo, self.counts, self.cube = memo, Counter(), f"[{a}]^{k}"
+        self.read, self.counts, self.cube = words.reader(_CUBE_SCHEMA), Counter(), f"[{a}]^{k}"
 
-    def step(self, w) -> Counterexample | None:
+    def step(self, w, row: dict) -> Counterexample | None:
         try:
-            self.counts[words.profile(w, _CUBE_SCHEMA, self.memo[w])] += 1
+            self.counts[self.read(w, row)] += 1
         except Exception as exc:  # the cube fails, named by its chunk
             return _raised(self.cube, exc)
         return None
@@ -362,7 +368,12 @@ class _CubeTally(_Judge):
         right = Counter({tuple(t[i] for i in columns): count for t, count in left.items()})
         if left == right:
             return None
-        bad = min(t for t in set(left) | set(right) if left[t] != right[t])
+        try:
+            # Both Counters list their keys in the chunk's order, so that the
+            # comparisons, and any error they raise, are the same in every run.
+            bad = min(t for t in (*left, *right) if left[t] != right[t])
+        except Exception as exc:  # a column whose values do not compare
+            return _raised(self.cube, exc)
         return Counterexample(
             input=self.cube,
             expected=f"multiplicity of {bad} in the (.., MAJ, STAT) distribution = {left[bad]}",
@@ -370,9 +381,9 @@ class _CubeTally(_Judge):
         )
 
 
-def _pred_switch_sets(memo, p):
+def _pred_switch_sets(p, row):
     """foata_j against the descent and inverse descent sets of `words`,
-    computed from scratch; nothing is read through `memo`."""
+    computed from scratch; nothing is read through the row."""
     n = len(p)
     image = foata_j(p)
     want_id = words.inverse_descent_set(p)
@@ -389,11 +400,12 @@ def _pred_switch_sets(memo, p):
     )
 
 
-def _maj_sum(p, term: str, value: int, memo):
+def _maj_sum(read, p, row: dict, term: str, value: int):
     """The counterexample, if any, to MAJ(p) + `term` = (n+1)*des(p) - (F-1).
-    des, MAJ and F are read through `STATISTICS`, as the swap checks read
-    them, so that the identity also pins those columns."""
-    des, maj, first = words.profile(p, ("des", "maj", "F"), memo[p])
+    des, MAJ and F are read through `STATISTICS` by `read`, a reader of
+    `_SUM_SCHEMA`, as the swap checks read them, so that the identity also
+    pins those columns."""
+    des, maj, first = read(p, row)
     lhs = maj + value
     rhs = (len(p) + 1) * des - (first - 1)
     if lhs == rhs:
@@ -405,14 +417,14 @@ def _maj_sum(p, term: str, value: int, memo):
     )
 
 
-def _pred_maj_stat_sum(memo, p):
-    return _maj_sum(p, "STAT", _oracle_stat(p), memo)
+def _pred_maj_stat_sum(read, p, row):
+    return _maj_sum(read, p, row, "STAT", _oracle_stat(p))
 
 
-def _pred_maj_pair_sum(memo, p):
-    image = _image(memo, "phi", p)
-    (image_maj,) = words.profile(image, ("maj",), memo[image])
-    return _maj_sum(p, "MAJ(image)", image_maj, memo)
+def _pred_maj_pair_sum(read, read_maj, p, row):
+    image, image_row = _image(row, "phi", p)
+    (image_maj,) = read_maj(image, image_row)
+    return _maj_sum(read, p, row, "MAJ(image)", image_maj)
 
 
 class _Characterizations(_Judge):
@@ -423,11 +435,11 @@ class _Characterizations(_Judge):
     a class that disagrees builds the inverse-descent set, to name the stray
     permutation."""
 
-    def __init__(self, memo, args: tuple) -> None:
+    def __init__(self, args: tuple) -> None:
         self.ids = statistic("Id-set")
         self.counts = functools.cache(lambda k: Counter(map(self.ids, symmetric_group(k))))
 
-    def step(self, wbar: Word) -> Counterexample | None:
+    def step(self, wbar: Word, row: dict) -> Counterexample | None:
         k, bounds, ids = len(wbar), words.block_boundaries(wbar), self.ids
         coded = frozenset(words.code(v) for v in rearrangement_class(wbar))
         want = multinomial(wbar)
@@ -479,7 +491,7 @@ def _given(*instances: Word):
 
 class _Check(NamedTuple):
     chunk: Callable[..., Iterable]
-    start: Callable[..., _Judge]  # a fresh judge of one chunk, given its pass's memo and args
+    start: Callable[..., _Judge]  # a fresh judge of one chunk, given its args
 
 
 _CHECKS: dict[str, _Check] = {
@@ -505,19 +517,19 @@ _CHECKS: dict[str, _Check] = {
     ),
     "lemma-3.1": _Check(
         symmetric_group,
-        functools.partial(_Each, _pred_switch_sets),
+        functools.partial(_Each, _pred_switch_sets, ()),
     ),
     "lemma-3.4": _Check(
         symmetric_group,
-        functools.partial(_Each, _pred_maj_stat_sum),
+        functools.partial(_Each, _pred_maj_stat_sum, [_SUM_SCHEMA]),
     ),
     "lemma-3.5": _Check(
         symmetric_group,
-        functools.partial(_Each, _pred_maj_pair_sum),
+        functools.partial(_Each, _pred_maj_pair_sum, [_SUM_SCHEMA, ("maj",)]),
     ),
     "eq-2": _Check(
         word_cube,
-        functools.partial(_Each, _pred_code_sums),
+        functools.partial(_Each, _pred_code_sums, [_CODE_SCHEMA[:-1]]),
     ),
     "prop-2.4": _Check(
         _given,
@@ -548,25 +560,24 @@ class _Task(NamedTuple):
 
 def _fused(task: _Task) -> list[Counterexample | None]:
     """Each of the task's checks' first failure on its chunk, read once: each
-    word goes, in check order, to every judge that has not failed, and one
-    memo lets them share the word's images and statistics."""
-    memo = defaultdict(dict)
-    judges = [_CHECKS[name].start(memo, task.args) for name in task.names]
+    word goes, in check order, to every judge that has not failed, with one
+    row that lets them share the word's images and statistics."""
+    judges = [_CHECKS[name].start(task.args) for name in task.names]
     failures: list[Counterexample | None] = [None] * len(judges)
-    live = list(enumerate(judges))
+    live = [(i, judge.step) for i, judge in enumerate(judges)]
     for w in _CHECKS[task.names[0]].chunk(*task.args):
-        memo.clear()
-        for i, judge in live:
+        row: dict = {}
+        for i, step in live:
             try:
-                failures[i] = judge.step(w)
+                failures[i] = step(w, row)
             except Exception as exc:  # a map that raises on an instance fails there
                 failures[i] = _raised(words.format_word(w), exc)
         if failures.count(None) < len(live):
-            live = [(i, judge) for i, judge in live if failures[i] is None]
+            live = [(i, step) for i, step in live if failures[i] is None]
             if not live:
                 break
-    for i, judge in live:
-        failures[i] = judge.verdict()
+    for i, _ in live:
+        failures[i] = judges[i].verdict()
     return failures
 
 

@@ -12,13 +12,16 @@ index (des, MAJ), their inverse counterparts (ides, IMAJ) read off the
 coded permutation, the adjacency count Adj, and STAT, a Mahonian companion
 of MAJ.  `STATISTICS` is the one table of them by name, with the descent,
 inverse descent and shuffle sets; des, MAJ and STAT are projections of the
-descent set, ides and IMAJ of the inverse descent set.  `profile` is the one
-reader of the table, and finds each word's descents once.
+descent set, ides and IMAJ of the inverse descent set.  `reader` is the one
+reader of the table: it looks each name up once, when it is built, and finds
+each word's descents once.  `profile` reads one word through it.
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
+from types import CodeType, FunctionType
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -162,7 +165,14 @@ def decode(p: Sequence[int], letters: Iterable[int]) -> Word:
 
 def descent_set(w: Sequence[int]) -> frozenset[int]:
     """Positions i with w_i > w_{i+1}."""
-    return frozenset(i for i in range(1, len(w)) if w[i - 1] > w[i])
+    # One pass carrying the previous letter: no subscripts, no generator frame.
+    descents, i, prev = [], 0, w[0] if w else 0
+    for x in w:
+        if prev > x:
+            descents.append(i)
+        prev = x
+        i += 1
+    return frozenset(descents)
 
 
 def inverse_descent_set(w: Sequence[int]) -> frozenset[int]:
@@ -193,10 +203,10 @@ def shuffle_set(w: Sequence[int]) -> frozenset[int]:
 def adj(w: Sequence[int]) -> int:
     """Count positions of the coded word where an entry is followed by its
     predecessor, with a trailing sentinel 0 (so the last term fires iff the
-    coded word ends in 1)."""
+    coded word ends in 1).  A `Permutation` is its own code."""
     if not w:
         raise EmptyInputError("Adj of an empty word is undefined")
-    cw = code(w) + (0,)
+    cw = (w if type(w) is Permutation else code(w)) + (0,)
     return sum(1 for j in range(len(w)) if cw[j] == cw[j + 1] + 1)
 
 
@@ -215,7 +225,7 @@ def _stat(w: Sequence[int], d: frozenset[int]) -> int:
     21
     """
     first = w[0] if w else 0
-    return (len(w) + 1) * len(d) - sum(1 for x in w if x < first) - sum(d)
+    return (len(w) + 1) * len(d) - len([x for x in w if x < first]) - sum(d)
 
 
 def first_letter(w: Sequence[int]) -> int:
@@ -228,7 +238,9 @@ def first_letter(w: Sequence[int]) -> int:
 @dataclass(frozen=True, slots=True)
 class Projection:
     """A statistic `fn(w, value)` of a word and the value of another entry of
-    `STATISTICS`, its source, looked up at each read to see a replaced one."""
+    `STATISTICS`, its source.  Called alone, it looks its source up at each
+    call; a `reader` looks it up when it is built.  Either way a replaced
+    source is seen."""
 
     source: str
     fn: Callable[[Sequence[int], object], object]
@@ -286,31 +298,62 @@ def format_statistic(value: object) -> str:
     return format_index_set(value) if isinstance(value, frozenset) else str(value)
 
 
+# A reader's code depends only on its schema's shape: which distinct entry
+# each name reads, and whether through a projection.  Its text holds only
+# indices; each reader is a new function over that code, with the keys,
+# entries and projections bound in its namespace when it is built, so it
+# calls the entries in place then.  The cache holds code only, and like
+# `patterns._counter`'s it is bounded.
+@functools.lru_cache(maxsize=64)
+def _read_code(shape: tuple[tuple[int, bool], ...]) -> CodeType:
+    lines = ["def read(w, row):"]
+    for k in range(len({k for k, _ in shape})):
+        lines += [
+            f"    if k{k} in row:",
+            f"        v{k} = row[k{k}]",
+            "    else:",
+            f"        v{k} = row[k{k}] = e{k}(w)",
+        ]
+    values = [f"p{i}(w, v{k})" if projected else f"v{k}" for i, (k, projected) in enumerate(shape)]
+    lines.append(f"    return ({''.join(value + ', ' for value in values)})")
+    module = compile("\n".join(lines) + "\n", "<profile reader>", "exec")
+    return next(c for c in module.co_consts if isinstance(c, CodeType))
+
+
+def reader(names: Sequence[str]) -> Callable[[Sequence[int], dict], tuple]:
+    """A function `read(w, row)` of the named statistics of a word.  Each
+    name is looked up in `STATISTICS` once, here; a projection reads its
+    source entry.  `read` computes each source and each plain entry of the
+    word once into `row`, keyed by its name, so readers that share a row
+    share them, and applies the projections at each read.
+
+    >>> read = reader(("des", "maj", "Id-set", "ides"))
+    >>> read((2, 1, 1, 2), {})
+    (1, 1, frozenset({2}), 1)
+    """
+    keys: dict[str, int] = {}
+    namespace: dict = {}
+    shape = []
+    for i, name in enumerate(names):
+        f = statistic(name)  # raises UnknownNameError
+        projected = type(f) is Projection
+        key = f.source if projected else name
+        if key not in keys:
+            k = keys[key] = len(keys)
+            namespace[f"k{k}"], namespace[f"e{k}"] = key, STATISTICS[key]
+        if projected:
+            namespace[f"p{i}"] = f.fn
+        shape.append((keys[key], projected))
+    return FunctionType(_read_code(tuple(shape)), namespace)
+
+
 def profile(w: Sequence[int], names: Sequence[str], row: dict | None = None) -> tuple:
-    """The named statistics of one word, read through `STATISTICS`.  `row`
-    keeps every value read, so a projection's source is computed once per
-    word however many projections of it are read.
+    """The named statistics of one word, read by `reader(names)` into `row`.
 
     >>> profile((2, 1, 1, 2), ("des", "maj", "Id-set", "ides"))
     (1, 1, frozenset({2}), 1)
     """
-    if row is None:
-        row = {}
-    values = []
-    for name in names:
-        if name not in row:
-            try:
-                f = STATISTICS[name]
-            except KeyError:
-                f = statistic(name)  # raises UnknownNameError
-            if type(f) is Projection:
-                if f.source not in row:
-                    row[f.source] = STATISTICS[f.source](w)
-                row[name] = f.fn(w, row[f.source])
-            else:
-                row[name] = f(w)
-        values.append(row[name])
-    return tuple(values)
+    return reader(names)(w, {} if row is None else row)
 
 
 # ------------------------------------------------------- reverse-complement

@@ -375,6 +375,23 @@ class TestCheck:
                 shown = report.counterexample and report.counterexample.input
                 assert shown == first
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_verdict_that_raises_fails_its_cube(self, monkeypatch, jobs):
+        """A column that mixes None with ints makes the tally's comparison
+        raise; the chunk fails, named by its cube, as a raise in a step does."""
+        real = words.STATISTICS["maj"]
+        monkeypatch.setitem(
+            words.STATISTICS, "maj", lambda w: None if len(w) == 3 and w[0] == 2 else real(w)
+        )
+        report = verify.check("thm-1.2", verify.CheckBounds(n=3, alphabet=2, jobs=jobs))
+        assert report.lines() == [
+            "FAIL thm-1.2 ([m]^n, m<=2, n<=3): 17 instances",
+            "    input:    [2]^3",
+            "    expected: no exception",
+            "    actual:   raised TypeError: '<' not supported between instances of 'int'"
+            " and 'NoneType'",
+        ]
+
     def test_a_one_letter_cube_is_one_chunk(self, monkeypatch):
         tasks = []
         real = verify._execute
@@ -787,6 +804,37 @@ def naive_swap_judge(map_name, schema):
     return judge
 
 
+# Every schema the checks read, and the whole table.
+READER_SCHEMAS = (
+    verify._SWAP_SCHEMA,
+    verify._ADJ_SCHEMA,
+    verify._SEXT_SCHEMA,
+    verify._CODE_SCHEMA,
+    verify._CUBE_SCHEMA,
+    verify._CODE_SCHEMA[:-1],
+    verify._SUM_SCHEMA,
+    ("maj",),
+    tuple(words.STATISTICS),
+)
+
+
+class TestReader:
+    @pytest.mark.parametrize("schema", READER_SCHEMAS, ids=",".join)
+    def test_equals_the_naive_profile(self, schema):
+        read = words.reader(schema)
+        perms = [p for n in range(1, 7) for p in verify.symmetric_group(n)]
+        cube = [w for n in range(1, 6) for w in verify.word_cube(3, n)]
+        for w in perms + cube:
+            assert read(w, {}) == naive_profile(w, schema), w
+
+    def test_readers_that_share_a_row_equal_the_naive_profile(self):
+        readers = [(schema, words.reader(schema)) for schema in READER_SCHEMAS]
+        for w in [p for n in range(1, 7) for p in verify.symmetric_group(n)]:
+            row = {}
+            for schema, read in readers:
+                assert read(w, row) == naive_profile(w, schema), (w, schema)
+
+
 class TestPairWalk:
     @pytest.mark.parametrize("fault", [None, *FAULTS])
     def test_reports_equal_the_naive_judge(self, monkeypatch, fault):
@@ -800,8 +848,8 @@ class TestPairWalk:
                 assert paired[0].split()[0] == ("PASS" if fault is None else "FAIL")
                 naive = naive_swap_judge(map_name, SWAP_SCHEMAS[name])
                 # the naive judge keeps nothing between words, so it can judge one at a time
-                alone = SimpleNamespace(step=lambda w: naive([w]), verdict=lambda: None)
-                naive_check = verify._CHECKS[name]._replace(start=lambda look, args: alone)
+                alone = SimpleNamespace(step=lambda w, row: naive([w]), verdict=lambda: None)
+                naive_check = verify._CHECKS[name]._replace(start=lambda args: alone)
                 m.setitem(verify._CHECKS, name, naive_check)
                 assert (
                     verify.check(name, verify.CheckBounds(n=5, alphabet=3), sweep=True).lines()
@@ -822,18 +870,23 @@ class TestPairWalk:
     )
     def test_each_word_is_mapped_and_profiled_once(self, monkeypatch, name, bounds, domain):
         map_name, mapped, profiled = SWAP_CHECKS[name], Counter(), Counter()
-        real_map, real_profile = getattr(involution, map_name), words.profile
+        real_map, real_reader = getattr(involution, map_name), words.reader
 
         def counted_map(w):
             mapped[tuple(w)] += 1
             return real_map(w)
 
-        def counted_profile(w, schema, row=None):
-            profiled[tuple(w)] += 1
-            return real_profile(w, schema, row)
+        def counted_reader(names):
+            read = real_reader(names)
+
+            def counted_read(w, row):
+                profiled[tuple(w)] += 1
+                return read(w, row)
+
+            return counted_read
 
         monkeypatch.setattr(involution, map_name, counted_map)
-        monkeypatch.setattr(words, "profile", counted_profile)
+        monkeypatch.setattr(words, "reader", counted_reader)
         assert verify.check(name, verify.CheckBounds(**bounds)).passed
         assert mapped == profiled == Counter(domain)
 
@@ -1061,29 +1114,46 @@ class TestFusedPass:
         assert calls == {"phi": 873 + 369 + 1_092, "phi_on_class": 1_092}
 
     def test_the_memo_holds_only_the_word_and_its_images(self, monkeypatch):
+        """Each word's row, the last judge of the pass sees it, holds only the
+        word's own statistics and, under a map's name, (image, image's row),
+        whose row holds only the image's own, a fixed point's being the word's."""
         held = {}
 
         class Spy(verify._Judge):
-            def __init__(self, memo, args):
-                self.memo = memo
+            def __init__(self, args):
+                pass
 
-            def step(self, w):
-                held[w] = set(self.memo)
+            def step(self, w, row):
+                held[w] = row
+
+        def maps_of(w, row, maps):
+            """The map names in `row`, each value checked against w."""
+            found = set(row) - set(words.STATISTICS)
+            assert found <= set(maps), (w, found)
+            for name in set(row) & set(words.STATISTICS):
+                assert row[name] == verify.statistic(name)(w), (w, name)
+            for name in found:
+                image, image_row = row[name]
+                assert image == getattr(involution, name)(w), (w, name)
+                assert (image_row is row) == (image == w), (w, name)
+                if image_row is not row:
+                    maps_of(image, image_row, maps)
+            return found
 
         monkeypatch.setitem(verify._CHECKS, "spy", verify._Check(verify.symmetric_group, Spy))
         names = ("thm-1.1", "thm-1.3", "lemma-3.1", "lemma-3.4", "lemma-3.5", "spy")
         assert verify._fused(verify._Task(names, (6, 3), 0)) == [None] * len(names)
         assert list(held) == list(verify.symmetric_group(6, 3))
-        for w, keys in held.items():
-            assert w in keys and keys <= {w, involution.phi(w), involution.burstein_p(w)}, w
-        assert max(map(len, held.values())) == 3
+        assert len({id(row) for row in held.values()}) == len(held)  # a fresh row per word
+        found = [maps_of(w, row, ("phi", "burstein_p")) for w, row in held.items()]
+        assert max(map(len, found)) == 2
         held.clear()
         names = ("thm-1.2", "eq-2", "spy")
         assert verify._fused(verify._Task(names, (3, 5, 2), 0)) == [None] * len(names)
         assert list(held) == list(verify.word_cube(3, 5, 2))
-        for w, keys in held.items():
-            assert w in keys and keys <= {w, words.code(w)}, w
-        assert max(map(len, held.values())) == 2
+        assert len({id(row) for row in held.values()}) == len(held)
+        assert not any(maps_of(w, row, ()) for w, row in held.items())
+        assert min(map(len, held.values())) > 0
 
     @pytest.mark.parametrize("fault", PLANTED)
     def test_reports_equal_each_check_run_alone(self, monkeypatch, fault):

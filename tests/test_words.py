@@ -174,6 +174,12 @@ class TestDescentData:
     def test_empty_word_allowed(self):
         assert descent_data(()) == (frozenset(), 0, 0)
 
+    def test_matches_definition(self):
+        for n in range(1, 7):
+            for w in [*verify.word_cube(4, n), *verify.symmetric_group(n)]:
+                want = frozenset(i for i in range(1, n) if w[i - 1] > w[i])
+                assert words.descent_set(w) == want, w
+
 
 class TestInverseDescentData:
     def test_worked_example(self):
@@ -227,6 +233,12 @@ class TestAdj:
     def test_empty(self):
         with pytest.raises(EmptyInputError):
             words.adj(())
+
+    def test_a_permutation_is_its_own_code(self):
+        for n in range(1, 8):
+            for p in verify.symmetric_group(n):
+                assert type(p) is words.Permutation
+                assert words.adj(p) == words.adj(tuple(p)), p
 
 
 class TestStat:
@@ -346,6 +358,41 @@ class TestRegistry:
     def test_the_reader_refuses_an_unknown_name(self):
         with pytest.raises(UnknownNameError, match="unknown statistic 'foo'"):
             words.profile((1, 2), ("des", "foo"))
+        with pytest.raises(UnknownNameError, match="unknown statistic 'foo'"):
+            words.reader(("des", "foo"))
+
+    def test_a_reader_calls_the_entries_in_place_when_it_is_built(self, monkeypatch):
+        w, names = (2, 3, 1), ("des", "maj", "stat", "F", "D-set")
+        monkeypatch.setitem(words.STATISTICS, "D-set", lambda w: frozenset({1, 2}))
+        monkeypatch.setitem(words.STATISTICS, "F", lambda w: 7)
+        planted = words.reader(names)
+        monkeypatch.setattr(words._stat, "__code__", (lambda w, d: -1).__code__)
+        assert planted(w, {}) == (2, 3, -1, 7, frozenset({1, 2}))
+        monkeypatch.undo()
+        # A reader built before a plant keeps the entries it was built with.
+        real = words.reader(names)
+        monkeypatch.setitem(words.STATISTICS, "D-set", lambda w: frozenset({1, 2}))
+        monkeypatch.setitem(words.STATISTICS, "F", lambda w: 7)
+        assert real(w, {}) == (1, 2, 1, 2, frozenset({2}))
+        assert words.reader(names)(w, {}) == (2, 3, 4, 7, frozenset({1, 2}))
+
+    def test_a_reader_fills_its_row_with_sources_and_plain_entries(self):
+        w, row = (4, 3, 4, 4, 2, 1, 6, 5, 1), {}
+        read = words.reader(("des", "maj", "stat", "F", "imaj"))
+        assert read(w, row) == (5, 25, 21, 4, 17)
+        assert row == {
+            "D-set": words.descent_set(w),
+            "F": 4,
+            "Id-set": words.inverse_descent_set(w),
+        }
+
+    def test_the_compiled_code_cache_is_bounded(self):
+        bound = words._read_code.cache_info().maxsize
+        # ("F",) * k is a different shape for each k
+        for k in range(1, 2 * bound + 1):
+            assert words.reader(("F",) * k)((3, 1), {}) == (3,) * k
+            assert words._read_code.cache_info().currsize <= bound
+        assert words._read_code.cache_info().currsize == bound
 
     def test_stat_is_one_object(self):
         assert words.STATISTICS["stat"] is words.stat is mahonian.stat
