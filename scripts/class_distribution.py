@@ -3,7 +3,8 @@
 
 Prints the joint (des, MAJ) and (des, STAT) distributions as coefficient
 tables of the generating polynomial sum(t^des q^stat), then lists how the
-involution pairs the class elements.
+involution pairs the class elements.  A class of more than 10^7 words is
+refused, as `mahonian table` refuses it.
 
 Example:
     python scripts/class_distribution.py 1122
@@ -13,6 +14,7 @@ import sys
 from collections import Counter
 
 from mahonian import involution, verify, words
+from mahonian.errors import DEFAULT_CAP, refuse_over_cap
 
 
 def coefficient_table(dist: Counter) -> str:
@@ -25,12 +27,17 @@ def coefficient_table(dist: Counter) -> str:
     return "\n".join(lines)
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("word", help='any word of the class, e.g. "1122"')
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    letters = words.parse_word(args.word)
+    try:
+        letters = words.parse_word(args.word)
+        refuse_over_cap("rearrangement class has", verify.multinomial(letters), "elements", DEFAULT_CAP)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     members = list(verify.rearrangement_class(letters))
     print(f"class of {words.format_word(words.sorted_word(letters))}: {len(members)} words")
 

@@ -14,7 +14,7 @@ of MAJ.  `STATISTICS` is the one table of them by name, with the descent,
 inverse descent and shuffle sets; des, MAJ and STAT are projections of the
 descent set, ides and IMAJ of the inverse descent set.  `reader` is the one
 reader of the table: it looks each name up once, when it is built, and finds
-each word's descents once.  `profile` reads one word through it.
+each word's descents once.
 """
 from __future__ import annotations
 
@@ -345,15 +345,6 @@ def reader(names: Sequence[str]) -> Callable[[Sequence[int], dict], tuple]:
             namespace[f"p{i}"] = f.fn
         shape.append((keys[key], projected))
     return FunctionType(_read_code(tuple(shape)), namespace)
-
-
-def profile(w: Sequence[int], names: Sequence[str], row: dict | None = None) -> tuple:
-    """The named statistics of one word, read by `reader(names)` into `row`.
-
-    >>> profile((2, 1, 1, 2), ("des", "maj", "Id-set", "ides"))
-    (1, 1, frozenset({2}), 1)
-    """
-    return reader(names)(w, {} if row is None else row)
 
 
 # ------------------------------------------------------- reverse-complement

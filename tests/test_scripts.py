@@ -13,21 +13,62 @@ from mahonian import involution, patterns, tableaux, verify, words
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_script(name, *args, timeout=120):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
         env=env,
-        timeout=120,
+        timeout=timeout,
     )
+
+
+CLASS_1122_OUTPUT = """\
+class of 1122: 6 words
+
+(des, MAJ) coefficients
+des\\q   0   1   2   3   4
+    0   1   0   0   0   0
+    1   0   1   2   1   0
+    2   0   0   0   0   1
+
+(des, STAT) coefficients
+des\\q   0   1   2   3   4
+    0   1   0   0   0   0
+    1   0   1   2   1   0
+    2   0   0   0   0   1
+
+equal distributions: True
+
+involution pairing (word -> image, MAJ/STAT shown):
+  fixed 1122 (MAJ=0, STAT=0) <-> 1122 (MAJ=0, STAT=0)
+  swap  1212 (MAJ=2, STAT=3) <-> 1221 (MAJ=3, STAT=2)
+  swap  2112 (MAJ=1, STAT=2) <-> 2211 (MAJ=2, STAT=1)
+  fixed 2121 (MAJ=4, STAT=4) <-> 2121 (MAJ=4, STAT=4)
+"""
 
 
 def test_class_distribution():
     proc = run_script("class_distribution.py", "1122")
     assert proc.returncode == 0, proc.stderr
-    assert "equal distributions: True" in proc.stdout
+    assert proc.stdout == CLASS_1122_OUTPUT
+
+
+@pytest.mark.parametrize(
+    "word, message",
+    [
+        ("0", "letters must be positive: '0'"),
+        (
+            ",".join(map(str, range(1, 15))),  # 14! words
+            "rearrangement class has 87178291200 elements, more than the cap 10000000",
+        ),
+    ],
+    ids=["letter-0", "class-of-14!"],
+)
+def test_class_distribution_refuses_before_enumerating(word, message):
+    proc = run_script("class_distribution.py", word, timeout=5)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
 
 def load_bench():
@@ -48,6 +89,14 @@ def test_bench_parts():
     assert len(rows) == 14 and all(us > 0 for us in rows.values())
     [groups] = bench.fused_groups([verify], 3, 2, 1)
     assert sorted(name for group in groups for name in group["checks"]) == sorted(verify.CHECK_IDS)
+
+
+def test_bench_children_write_their_bytecode(monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    argv, env = load_bench().child(["-c", "pass"], ROOT / "src")
+    assert argv == [sys.executable, "-c", "pass"]
+    assert "PYTHONDONTWRITEBYTECODE" not in env
+    assert env["PYTHONPATH"].split(os.pathsep)[0] == str(ROOT / "src")
 
 
 def test_bench_adds_a_record(tmp_path, monkeypatch, capsys):

@@ -276,42 +276,42 @@ class TestStatKernel:
 
 
 class TestStatVector:
-    """A word's statistics read together through `words.profile`."""
+    """A word's statistics read together through a `words.reader`."""
 
     @pytest.mark.parametrize("w, row", sorted(CLASS_1122_TABLE.items()))
     def test_class_1122(self, w, row):
         names = ("adj", "des", "ides", "F", "imaj", "maj", "stat")
-        assert words.profile(w, names) == row
+        assert words.reader(names)(w, {}) == row
 
     def test_worked_example(self):
         names = ("F", "des", "maj", "stat", "Id-set", "Sh-set")
-        assert words.profile((5, 4, 6, 7, 3, 1, 9, 8, 2), names) == (
+        assert words.reader(names)((5, 4, 6, 7, 3, 1, 9, 8, 2), {}) == (
             5, 5, 25, 21, {2, 3, 4, 8}, {1, 2, 4, 6, 8}
         )
 
     def test_field_consistency(self):
-        des, maj, d, ides, imaj, idset = words.profile(
-            (2, 1, 1, 2), ("des", "maj", "D-set", "ides", "imaj", "Id-set")
-        )
+        des, maj, d, ides, imaj, idset = words.reader(
+            ("des", "maj", "D-set", "ides", "imaj", "Id-set")
+        )((2, 1, 1, 2), {})
         assert des == len(d) and maj == sum(d)
         assert ides == len(idset) and imaj == sum(idset)
 
     def test_empty(self):
         for name in ("ides", "adj", "imaj", "Id-set", "Sh-set", "F"):
             with pytest.raises(EmptyInputError):
-                words.profile((), (name,))
-        assert words.profile((), ("des", "maj", "stat", "D-set")) == (0, 0, 0, frozenset())
+                words.reader((name,))((), {})
+        assert words.reader(("des", "maj", "stat", "D-set"))((), {}) == (0, 0, 0, frozenset())
 
     @given(random_words)
     def test_index_sets_in_range(self, w):
-        d, idset, sh = words.profile(w, ("D-set", "Id-set", "Sh-set"))
+        d, idset, sh = words.reader(("D-set", "Id-set", "Sh-set"))(w, {})
         interior = set(range(1, len(w)))
         assert d <= interior and sh <= interior and idset <= interior
 
     @given(random_words)
     def test_equals_registry_row(self, w):
         row = tuple(f(w) for f in words.STATISTICS.values())
-        assert words.profile(w, tuple(words.STATISTICS)) == row
+        assert words.reader(tuple(words.STATISTICS))(w, {}) == row
 
 
 class TestRegistry:
@@ -329,21 +329,21 @@ class TestRegistry:
                 words.STATISTICS, source, lambda w, s=source, f=real: calls.update([s]) or f(w)
             )
         row = {}
-        assert words.profile(w, names, row) == want
-        assert words.profile(w, ("imaj", "maj"), row) == (17, 25)
+        assert words.reader(names)(w, row) == want
+        assert words.reader(("imaj", "maj"))(w, row) == (17, 25)
         assert calls == {"D-set": 1, "Id-set": 1}
 
     @pytest.mark.parametrize("source, names", [("D-set", ("des", "maj")), ("Id-set", ("ides", "imaj"))])
     def test_projections_read_a_planted_source(self, monkeypatch, source, names):
         monkeypatch.setitem(words.STATISTICS, source, lambda w: frozenset({1, 2}))
         w = (1, 2, 3)
-        assert words.profile(w, names) == (2, 3)
+        assert words.reader(names)(w, {}) == (2, 3)
         assert tuple(words.statistic(name)(w) for name in names) == (2, 3)
 
     def test_stat_reads_a_planted_descent_set(self, monkeypatch):
         monkeypatch.setitem(words.STATISTICS, "D-set", lambda w: frozenset({1, 2}))
         w = (2, 3, 1)  # (n+1)*des - #{x < w_1} - MAJ = 4*2 - 1 - 3
-        assert words.profile(w, ("stat",)) == (4,)
+        assert words.reader(("stat",))(w, {}) == (4,)
         assert words.stat(w) == words.statistic("stat")(w) == 4
 
     def test_des_maj_and_stat_find_the_descents_once(self, monkeypatch):
@@ -352,12 +352,10 @@ class TestRegistry:
             words.STATISTICS, "D-set", lambda w: calls.append(w) or frozenset({1, 2})
         )
         w = (2, 3, 1)
-        assert words.profile(w, ("des", "maj", "stat")) == (2, 3, 4)
+        assert words.reader(("des", "maj", "stat"))(w, {}) == (2, 3, 4)
         assert calls == [w]
 
     def test_the_reader_refuses_an_unknown_name(self):
-        with pytest.raises(UnknownNameError, match="unknown statistic 'foo'"):
-            words.profile((1, 2), ("des", "foo"))
         with pytest.raises(UnknownNameError, match="unknown statistic 'foo'"):
             words.reader(("des", "foo"))
 
