@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Measure checkouts of the package and add a record of each to a BENCH file.
 
-A record holds four things:
+A record holds five things:
 
 - the number of lines of `mahonian/*.py`, the library's size;
 - the cold start of `python -m mahonian stats 212231`: the median wall time
@@ -12,6 +12,9 @@ A record holds four things:
   caches; a statistic reader is built once per schema, outside the timing;
 - seconds per fused group of `verify all` at n over [alphabet], each group
   the checks that share a chunk function, the minimum of 5 runs.
+- microseconds per permutation of the fused pass of the five S_n checks
+  over one chunk, the S_9 slice with first letter 5 (8! = 40,320
+  permutations), the minimum of 5 passes.
 
 Each checkout is a --label and the --src directory holding its mahonian/
 (a single --label defaults to this repository's src).  The cold starts of
@@ -29,6 +32,7 @@ Example:
 import argparse
 import functools
 import json
+import math
 import os
 import platform
 import statistics
@@ -42,6 +46,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 COLD_ARGV = ["-m", "mahonian", "stats", "212231"]
 RUNS = 30  # cold-start processes
 PASSES = 5  # passes per timing, of which the fastest counts
+SLICE = (9, 5)  # (n, first letter) of the S_n chunk the fused pass reads
 
 
 def child(args, src):
@@ -191,6 +196,21 @@ def fused_groups(verifies, n, alphabet, passes):
     return out
 
 
+def sn_pass(verifies, chunk, passes):
+    """For each checkout's `verify`, µs per permutation of one task of the
+    checks whose chunks are S_n slices, over the slice `chunk` = (n, first
+    letter), the minimum of `passes`; the checkouts take turns."""
+    v0 = verifies[0]
+    names = tuple(name for name in v0.CHECK_IDS if v0._CHECKS[name].chunk is v0.symmetric_group)
+    size = math.factorial(chunk[0] - 1)
+    runs = [functools.partial(v._fused, v._Task(names, chunk, size)) for v in verifies]
+    best, results = best_of(runs, passes)
+    if any(failure is not None for found in results for failure in found):
+        raise SystemExit(f"{', '.join(names)} FAIL on the S_{chunk[0]} slice {chunk}")
+    record = {"checks": names, "n": chunk[0], "first_letter": chunk[1], "permutations": size}
+    return [{**record, "us_per_permutation": round(b / size * 1e6, 3)} for b in best]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -215,6 +235,7 @@ def main(argv=None) -> int:
     colds = cold_start(srcs, RUNS)
     calls = per_call(libs, args.n, PASSES)
     groups = fused_groups([lib[3] for lib in libs], args.n, args.alphabet, PASSES)
+    passes = sn_pass([lib[3] for lib in libs], SLICE, PASSES)
     bench = json.loads(args.out.read_text()) if args.out.exists() else {}
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
     for i, (label, src) in enumerate(zip(args.label, srcs)):
@@ -226,6 +247,7 @@ def main(argv=None) -> int:
             "cold_start": colds[i],
             f"us_per_call_on_S_{args.n}": calls[i],
             f"fused_group_s_at_n{args.n}_over_{args.alphabet}": groups[i],
+            "fused_sn_pass": passes[i],
         }
     args.out.write_text(json.dumps(bench, indent=2, ensure_ascii=False) + "\n")
     print(json.dumps(dict(zip(args.label, colds))))

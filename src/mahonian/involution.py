@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 from .errors import EmptyInputError, InternalInvariantError, InvalidTripleError
 from .tableaux import foata_j, switch  # foata_j stays importable from here
-from .words import Permutation, Word, check_permutation, code, decode, format_word, shuffle_set
+from .words import Word, check_permutation, code, decode, format_word, shuffle_set
 
 
 @dataclass(frozen=True)
@@ -155,13 +155,14 @@ def burstein_p(p: Sequence[int]) -> Word:
 def phi_on_class(v: Sequence[int]) -> Word:
     """Transfer `phi` to the rearrangement class of a word: code, act, decode.
 
-    Well-defined since `phi` keeps Id, so its image stays compatible; `phi`
-    takes `code(v)` unread, and an image that `decode` refuses is a fault.
+    Well-defined since `phi` keeps Id, so its image stays compatible; `code`
+    returns a `words.Permutation`, which `phi` takes unread, and an image that
+    `decode` refuses is a fault.
 
     >>> phi_on_class((4, 3, 4, 4, 2, 1, 6, 5, 1))
     (4, 1, 6, 4, 3, 2, 4, 5, 1)
     """
-    image = phi(Permutation(code(v)))  # code(()) raises EmptyInputError
+    image = phi(code(v))  # code(()) raises EmptyInputError
     try:
         return decode(image, v)
     except ValueError as exc:  # code(v) is compatible and phi keeps Id

@@ -38,8 +38,11 @@ serial or, when it has more than one worker, a single process pool that
 takes the largest tasks first and is imported only then; the results merge
 in check and chunk order, so every report is identical either way.  The
 S_n enumerator yields each permutation as a `words.Permutation`, whose maps
-skip their input check; an image, the output of the map under test, is a
-plain tuple and is checked when it is mapped back.
+skip their input check and whose Id, STAT and Adj are read without a sort.
+A swap walk checks each image of a permutation once, with
+`words.is_permutation`, and carries it as a `words.Permutation` into its
+profile and its map back; an image that is no permutation stays a plain
+tuple, and its map back refuses it.
 """
 from __future__ import annotations
 
@@ -310,6 +313,8 @@ class _SwapWalk(_Judge):
             return None
         name, schema = self.map_name, self.schema
         image, image_row = _image(row, name, w)
+        if type(w) is Permutation and image != w and words.is_permutation(image):
+            image = Permutation(image)  # read as its own code, and mapped back unchecked
         left = self.read(w, row)
         right = self.columns(left if image == w else self.read(image, image_row))
         if left != right:

@@ -14,7 +14,9 @@ of MAJ.  `STATISTICS` is the one table of them by name, with the descent,
 inverse descent and shuffle sets; des, MAJ and STAT are projections of the
 descent set, ides and IMAJ of the inverse descent set.  `reader` is the one
 reader of the table: it looks each name up once, when it is built, and finds
-each word's descents once.
+each word's descents once.  A `Permutation` is a word known to be a
+permutation: the maps take it unchecked, and Id, STAT and Adj read it
+without coding or sorting it.
 """
 from __future__ import annotations
 
@@ -48,10 +50,12 @@ def is_permutation(w: Sequence[int]) -> bool:
 
 
 class Permutation(tuple):
-    """A tuple its maker knows to be a permutation of 1..n: `verify.symmetric_group`
-    (a chunk's head, checked once) or `involution.phi_on_class` (`code`'s ranks).
-    `check_permutation` accepts one without reading its letters, so only code
-    that has checked them may make one."""
+    """A tuple its maker knows to be a permutation of 1..n.  Its makers are
+    `verify.symmetric_group` (a chunk's head, checked once), `code` (its ranks
+    are 1..n by construction) and the swap walk of `verify`, which wraps a map's
+    image once `is_permutation` has read it.  `check_permutation` accepts one
+    without reading its letters, and `inverse_descent_set`, `stat` and `adj`
+    read one as its own code, so only code that has checked them may make one."""
 
     __slots__ = ()
 
@@ -103,8 +107,9 @@ def format_index_set(s: Iterable[int]) -> str:
 
 # ------------------------------------------------------------- coding map
 
-def code(w: Sequence[int]) -> Word:
-    """Standardize a word to a permutation, equal letters ranked left to right.
+def code(w: Sequence[int]) -> Permutation:
+    """Standardize a word to a permutation, equal letters ranked left to right,
+    returned as a `Permutation`.
 
     >>> code((2, 1, 2, 2, 3, 1))
     (3, 1, 4, 5, 6, 2)
@@ -115,7 +120,7 @@ def code(w: Sequence[int]) -> Word:
     # The sort is stable, so equal letters keep their left-to-right order.
     for rank, i in enumerate(sorted(range(len(w)), key=w.__getitem__), start=1):
         ranks[i] = rank
-    return tuple(ranks)
+    return Permutation(ranks)  # the ranks are 1..n, each once
 
 
 def sorted_word(letters: Iterable[int]) -> Word:
@@ -176,9 +181,18 @@ def descent_set(w: Sequence[int]) -> frozenset[int]:
 
 
 def inverse_descent_set(w: Sequence[int]) -> frozenset[int]:
-    """Values v of the coded word such that v+1 appears before v."""
+    """Values v of the coded word such that v+1 appears before v.  A
+    `Permutation` is its own code, read in one pass without a sort."""
     if not w:
         raise EmptyInputError("inverse descents of an empty word are undefined")
+    if type(w) is Permutation:
+        # v is an inverse descent when v+1 was seen before it; flags 0..n+1.
+        seen, ids = [False] * (len(w) + 2), []
+        for x in w:
+            if seen[x + 1]:
+                ids.append(x)
+            seen[x] = True
+        return frozenset(ids)
     # order[v - 1] is the position of the letter that codes to v.
     order = sorted(range(len(w)), key=w.__getitem__)
     return frozenset(v for v in range(1, len(w)) if order[v] < order[v - 1])
@@ -206,8 +220,14 @@ def adj(w: Sequence[int]) -> int:
     coded word ends in 1).  A `Permutation` is its own code."""
     if not w:
         raise EmptyInputError("Adj of an empty word is undefined")
-    cw = (w if type(w) is Permutation else code(w)) + (0,)
-    return sum(1 for j in range(len(w)) if cw[j] == cw[j + 1] + 1)
+    # One pass carrying the previous letter, as `descent_set`; the sentinel
+    # is the last term.
+    count, prev = 0, 0
+    for x in w if type(w) is Permutation else code(w):
+        if prev == x + 1:
+            count += 1
+        prev = x
+    return count + (prev == 1)
 
 
 def _stat(w: Sequence[int], d: frozenset[int]) -> int:
@@ -216,16 +236,17 @@ def _stat(w: Sequence[int], d: frozenset[int]) -> int:
     STAT is the six-term vincular pattern sum `patterns.eval_sum("STAT_w")`.
     Lemma 3.4 gives it as (n+1)*des - (F-1) - MAJ on permutations; by eq. 2
     coding keeps STAT, des and MAJ, and F-1 of the coded word counts the
-    letters below w_1.  The checks lemma-3.4 and eq-2 compare against the
-    pattern sum itself.
+    letters below w_1; on a `Permutation` that count is w_1 - 1.  The checks
+    lemma-3.4 and eq-2 compare against the pattern sum itself.
 
     >>> stat((2, 1, 2, 1))
     4
     >>> stat((4, 3, 4, 4, 2, 1, 6, 5, 1))
     21
     """
-    first = w[0] if w else 0
-    return (len(w) + 1) * len(d) - len([x for x in w if x < first]) - sum(d)
+    first = w[0] if w else 1
+    below = first - 1 if type(w) is Permutation else len([x for x in w if x < first])
+    return (len(w) + 1) * len(d) - below - sum(d)
 
 
 def first_letter(w: Sequence[int]) -> int:

@@ -12,6 +12,7 @@ check must then list it.
 import pytest
 
 from mahonian import involution, tableaux, verify, words
+from mahonian.words import Permutation
 
 S = words.STATISTICS
 
@@ -60,6 +61,45 @@ def stat_closed_form(form):
     """Plant `form(w, d)` as the body of `words._stat`, the closed form that
     `words.stat` projects the descent set through."""
     return lambda m: m.setattr(words._stat, "__code__", form.__code__)
+
+
+def ids_scan_reads_the_letter_below(real):
+    """Id's one-pass scan of a `Permutation` asking whether v-1 came before v,
+    not v+1; any other word is sorted as before."""
+
+    def planted(w):
+        if type(w) is not Permutation:
+            return real(w)
+        seen, ids = [False] * (len(w) + 2), []
+        for x in w:
+            if seen[x - 1]:
+                ids.append(x)
+            seen[x] = True
+        return frozenset(ids)
+
+    return planted
+
+
+def stat_subtracts_the_first_letter_of_a_permutation(w, d):
+    """`words._stat` counting w_1, not w_1 - 1, letters below w_1 of a
+    `Permutation`; planted as its body, so its names are `words`' own."""
+    first = w[0] if w else 1
+    below = first if type(w) is Permutation else len([x for x in w if x < first])
+    return (len(w) + 1) * len(d) - below - sum(d)
+
+
+def adj_without_the_sentinel(real):
+    """Adj's pass over the coded word without its last term, the sentinel's."""
+
+    def planted(w):
+        count, prev = 0, 0
+        for x in w if type(w) is Permutation else words.code(w):
+            if prev == x + 1:
+                count += 1
+            prev = x
+        return count
+
+    return planted
 
 
 def burstein_tail(fn):
@@ -155,6 +195,11 @@ MUTANTS = [
         ("thm-1.2", "prop-2.4"),
     ),
     row(
+        "Id's scan of a permutation reads the letter below",
+        wrong(words, "inverse_descent_set", ids_scan_reads_the_letter_below),
+        ("lemma-3.1", "eq-2", "prop-2.4"),
+    ),
+    row(
         "code ranks ties right to left",
         wrong(words, "code", code_ties_right_to_left),
         ("thm-1.2", "cor-1.4", "cor-1.5", "eq-2", "prop-2.4"),
@@ -164,6 +209,16 @@ MUTANTS = [
         "STAT's closed form drops the letters below F",
         stat_closed_form(lambda w, d: (len(w) + 1) * len(d) - sum(d)),
         SWAPS,
+    ),
+    row(
+        "STAT's closed form counts F letters below F of a permutation",
+        stat_closed_form(stat_subtracts_the_first_letter_of_a_permutation),
+        ("thm-1.1", "thm-1.3"),
+    ),
+    row(
+        "Adj drops the sentinel's term",
+        wrong(words, "adj", adj_without_the_sentinel),
+        ("thm-1.1", "thm-1.2"),
     ),
     row(
         "phi is the identity",

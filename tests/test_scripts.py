@@ -89,6 +89,10 @@ def test_bench_parts():
     assert len(rows) == 14 and all(us > 0 for us in rows.values())
     [groups] = bench.fused_groups([verify], 3, 2, 1)
     assert sorted(name for group in groups for name in group["checks"]) == sorted(verify.CHECK_IDS)
+    [sn] = bench.sn_pass([verify], (4, 2), 1)
+    assert sn["checks"] == ("thm-1.1", "thm-1.3", "lemma-3.1", "lemma-3.4", "lemma-3.5")
+    assert (sn["n"], sn["first_letter"], sn["permutations"]) == (4, 2, 6)
+    assert sn["us_per_permutation"] > 0
 
 
 def test_bench_children_write_their_bytecode(monkeypatch):
@@ -100,10 +104,13 @@ def test_bench_children_write_their_bytecode(monkeypatch):
 
 
 def test_bench_adds_a_record(tmp_path, monkeypatch, capsys):
-    """In process, with 2 cold starts in place of the default 30."""
+    """In process, with 2 cold starts in place of the default 30, and the
+    fused S_n pass over the S_3 slice with first letter 2 in place of the
+    S_9 slice with first letter 5."""
     bench = load_bench()
-    assert bench.RUNS == 30
+    assert (bench.RUNS, bench.SLICE) == (30, (9, 5))
     monkeypatch.setattr(bench, "RUNS", 2)
+    monkeypatch.setattr(bench, "SLICE", (3, 2))
     monkeypatch.setattr(sys, "path", list(sys.path))  # main puts --src first
     out = tmp_path / "bench.json"
     out.write_text('{"parent": {}}\n')
@@ -118,6 +125,8 @@ def test_bench_adds_a_record(tmp_path, monkeypatch, capsys):
     assert len(record["change"]["us_per_call_on_S_3"]) == 14
     groups = record["change"]["fused_group_s_at_n3_over_2"]
     assert sorted(name for group in groups for name in group["checks"]) == sorted(verify.CHECK_IDS)
+    sn = record["change"]["fused_sn_pass"]
+    assert (sn["n"], sn["first_letter"], sn["permutations"]) == (3, 2, 2)
 
 
 def test_bench_records_two_checkouts(tmp_path, monkeypatch, capsys):
@@ -126,6 +135,7 @@ def test_bench_records_two_checkouts(tmp_path, monkeypatch, capsys):
     bench = load_bench()
     monkeypatch.setattr(bench, "RUNS", 1)
     monkeypatch.setattr(bench, "PASSES", 1)
+    monkeypatch.setattr(bench, "SLICE", (2, 1))
     out, src = tmp_path / "bench.json", ROOT / "src"
     argv = ["--out", str(out), "--n", "2", "--alphabet", "1"]
     argv += ["--label", "parent", "--src", str(src), "--label", "change", "--src", str(src)]

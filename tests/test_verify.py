@@ -1195,15 +1195,16 @@ class TestFusedPass:
 
 class TestEnumeratedWords:
     """The S_n enumerator yields `words.Permutation`s, which the maps accept
-    unchecked; an image, output of the map under test, is a plain tuple and
-    is checked.  A wrapper bound in a map's place passes the type through."""
+    unchecked; an image, output of the map under test, is checked once by
+    the swap walk and carried as a `words.Permutation` into its profile and
+    its map back.  A wrapper bound in a map's place passes the type through."""
 
-    def checked_by_thm_1_3(self, monkeypatch):
-        """The words `words.is_permutation` reads in thm-1.3 at n=5, and the
-        images the walk maps back."""
+    def checked_by_walk(self, monkeypatch, name="thm-1.3", map_name="phi"):
+        """The words `words.is_permutation` reads in the swap check `name`
+        under `map_name` at n=5, and the images its walk maps back."""
         vouched, mapped_back = set(), []
         for w in verify.symmetric_group(5):
-            image = involution.phi(w)
+            image = getattr(involution, map_name)(w)
             if w not in vouched and image != w:
                 vouched.add(image)
                 mapped_back.append(image)
@@ -1214,18 +1215,76 @@ class TestEnumeratedWords:
             return is_permutation(w)
 
         monkeypatch.setattr(words, "is_permutation", counting)
-        assert verify.check("thm-1.3", verify.CheckBounds(n=5)).passed
+        assert verify.check(name, verify.CheckBounds(n=5)).passed
         assert 0 < len(mapped_back) < math.factorial(5)
         return checked, mapped_back
 
     def test_thm_1_3_checks_only_the_images_it_maps_back(self, monkeypatch):
-        checked, mapped_back = self.checked_by_thm_1_3(monkeypatch)
+        checked, mapped_back = self.checked_by_walk(monkeypatch)
         assert checked == mapped_back
+
+    def test_thm_1_1_checks_only_the_images_it_maps_back(self, monkeypatch):
+        checked, mapped_back = self.checked_by_walk(monkeypatch, "thm-1.1", "burstein_p")
+        assert checked == mapped_back
+
+    def test_each_check_reads_as_many_words_for_permutations_as_before(self, monkeypatch):
+        """At n=5 over [3] the swap walks of S_5 check the 48 and 44 images
+        they map back, prop-2.4 each coded word of [3]^<=5 once (3 + 9 + 27 +
+        81 + 243), and no other check reads one: the counts of `words.is_permutation`
+        calls made before the walk carried its checked images."""
+        calls = []
+
+        def counting(w, is_permutation=words.is_permutation):
+            calls.append(w)
+            return is_permutation(w)
+
+        monkeypatch.setattr(words, "is_permutation", counting)
+        counts = {}
+        for name in verify.CHECK_IDS:
+            calls.clear()
+            assert verify.check(name, verify.CheckBounds(n=5, alphabet=3)).passed
+            counts[name] = len(calls)
+        assert counts == {
+            **dict.fromkeys(verify.CHECK_IDS, 0), "thm-1.1": 48, "thm-1.3": 44, "prop-2.4": 363
+        }
+
+    @pytest.mark.parametrize("name, map_name", [("thm-1.3", "phi"), ("thm-1.1", "burstein_p")])
+    def test_a_checked_image_is_mapped_back_as_a_permutation(self, monkeypatch, name, map_name):
+        received, real = [], getattr(involution, map_name)
+
+        def recording(p):
+            received.append(p)
+            return real(p)
+
+        monkeypatch.setattr(involution, map_name, recording)
+        assert verify.check(name, verify.CheckBounds(n=5)).passed
+        # Each word is mapped once: as a word, or as an image mapped back.
+        assert sorted(received) == sorted(verify.symmetric_group(5))
+        assert {type(p) for p in received} == {words.Permutation}
+
+    @pytest.mark.parametrize(
+        "name, map_name", [("thm-1.1", "burstein_p"), ("thm-1.3", "phi")]
+    )
+    def test_an_image_that_is_no_permutation_is_refused_when_mapped_back(
+        self, monkeypatch, name, map_name
+    ):
+        """An image with float letters shows its word's profile, so the walk
+        maps it back as a plain tuple, and the map refuses it: the FAIL line
+        is the one printed when every image was checked only there."""
+        real = getattr(involution, map_name)
+        monkeypatch.setattr(involution, map_name, lambda p: tuple(map(float, real(p))))
+        assert verify.check(name, verify.CheckBounds(n=3)).lines() == [
+            f"FAIL {name} (S_3): 6 instances",
+            "    input:    213",
+            f"    expected: {map_name}({map_name}(213)) = 213",
+            f"    actual:   {map_name}(2.03.01.0) raised ValueError: not a permutation of"
+            " 1..3: (2.0, 3.0, 1.0)",
+        ]
 
     def test_a_pass_through_wrapper_of_phi_checks_the_same_words(self, monkeypatch):
         real = involution.phi
         monkeypatch.setattr(involution, "phi", lambda p: real(p))
-        checked, mapped_back = self.checked_by_thm_1_3(monkeypatch)
+        checked, mapped_back = self.checked_by_walk(monkeypatch)
         assert checked == mapped_back
 
     @pytest.mark.parametrize("fn", [involution.phi, involution.burstein_p, tableaux.foata_j])
@@ -1250,8 +1309,8 @@ class TestEnumeratedWords:
 
     @pytest.mark.parametrize("name", ["cor-1.4", "cor-1.5"])
     def test_phi_on_class_hands_phi_its_code_unread(self, monkeypatch, name):
-        """`code` returns a permutation, so `phi_on_class` wraps it as a
-        `words.Permutation` and no class word's code is read again."""
+        """`code` returns a `words.Permutation`, which `phi_on_class` hands
+        to `phi` as it is, so no class word's code is read again."""
         checked = []
 
         def counting(w, is_permutation=words.is_permutation):

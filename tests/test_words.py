@@ -1,5 +1,6 @@
 """Core word machinery: parsing, coding/decoding, and the seven statistics."""
 from collections import Counter
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,6 +90,15 @@ class TestCode:
     @given(random_words)
     def test_result_is_permutation(self, w):
         assert words.is_permutation(words.code(w))
+
+    def test_returns_its_ranks_as_a_permutation(self):
+        """On [3]^<=6 `code` returns a `words.Permutation` whose letters are
+        the ranks of w's letters, equal letters ranked left to right."""
+        for n in range(1, 7):
+            for w in product(range(1, 4), repeat=n):
+                order = sorted(range(n), key=lambda i: (w[i], i))
+                assert type(words.code(w)) is words.Permutation
+                assert words.code(w) == tuple(order.index(i) + 1 for i in range(n)), w
 
 
 class TestDecode:
@@ -241,6 +251,18 @@ class TestAdj:
                 assert words.adj(p) == words.adj(tuple(p)), p
 
 
+class TestPermutationPath:
+    """Id, STAT and Adj read a `words.Permutation` as its own code, without a
+    sort; on all of S_1..S_7 each gives the value it gives on the plain tuple,
+    which it codes or sorts."""
+
+    @pytest.mark.parametrize("fn", [words.inverse_descent_set, words.stat, words.adj])
+    def test_a_permutation_reads_as_its_tuple(self, fn):
+        for n in range(1, 8):
+            for p in permutations(range(1, n + 1)):
+                assert fn(words.Permutation(p)) == fn(p), p
+
+
 class TestStat:
     def test_table_values(self):
         assert words.stat((2, 1, 2, 1)) == 4
@@ -251,6 +273,7 @@ class TestStat:
 
     def test_empty_word_allowed(self):
         assert words.stat(()) == 0
+        assert words.stat(words.Permutation(())) == 0
 
 
 class TestStatKernel:
