@@ -8,8 +8,10 @@ A record holds five things:
   and peak RSS of 30 fresh processes, and the median cumulative
   `-X importtime` of `mahonian.cli`, with bytecode cached;
 - microseconds per call on every permutation of S_n, as the S_n checks pass
-  it (a `words.Permutation`), the minimum of 5 passes in one process, warm
-  caches; a statistic reader is built once per schema, outside the timing;
+  it (a `words.Permutation`), and of the layers in `WORD_ROWS` on every
+  plain word of [alphabet]^n, as the cube checks pass it; the minimum of 5
+  passes in one process, warm caches; a statistic reader is built once per
+  schema, outside the timing;
 - seconds per fused group of `verify all` at n over [alphabet], each group
   the checks that share a chunk function, the minimum of 5 runs.
 - microseconds per permutation of the fused pass of the five S_n checks
@@ -39,7 +41,7 @@ import statistics
 import subprocess
 import sys
 import time
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -47,6 +49,9 @@ COLD_ARGV = ["-m", "mahonian", "stats", "212231"]
 RUNS = 30  # cold-start processes
 PASSES = 5  # passes per timing, of which the fastest counts
 SLICE = (9, 5)  # (n, first letter) of the S_n chunk the fused pass reads
+# The layers also timed on plain words, which they read without a
+# `Permutation`'s shortcuts.
+WORD_ROWS = ("adj", "inverse_descent_set", "code", 'eval_sum("STAT_w")')
 
 
 def child(args, src):
@@ -164,13 +169,20 @@ def layer_calls(lib):
     }
 
 
-def per_call(libs, n, passes):
-    """For each checkout, µs per call of each layer over S_n, the minimum of
-    `passes` passes; the checkouts take turns at each pass."""
+def per_call(libs, n, passes, alphabet=None):
+    """For each checkout, µs per call of each layer over S_n, or of each of
+    `WORD_ROWS` over the plain words of [alphabet]^n when an alphabet is
+    given, the minimum of `passes` passes; the checkouts take turns at each
+    pass."""
     tables = [layer_calls(lib) for lib in libs]
-    domains = [[lib[4].Permutation(p) for p in permutations(range(1, n + 1))] for lib in libs]
+    if alphabet is None:
+        names = list(tables[0])
+        domains = [[lib[4].Permutation(p) for p in permutations(range(1, n + 1))] for lib in libs]
+    else:
+        names = WORD_ROWS
+        domains = [list(product(range(1, alphabet + 1), repeat=n))] * len(libs)
     out = [{} for _ in libs]
-    for name in tables[0]:
+    for name in names:
         runs = [functools.partial(each, t[name], domain) for t, domain in zip(tables, domains)]
         for row, best in zip(out, best_of(runs, passes)[0]):
             row[name] = round(best / len(domains[0]) * 1e6, 3)
@@ -234,6 +246,7 @@ def main(argv=None) -> int:
     libs = [load(src) for src in srcs]
     colds = cold_start(srcs, RUNS)
     calls = per_call(libs, args.n, PASSES)
+    word_calls = per_call(libs, args.n, PASSES, args.alphabet)
     groups = fused_groups([lib[3] for lib in libs], args.n, args.alphabet, PASSES)
     passes = sn_pass([lib[3] for lib in libs], SLICE, PASSES)
     bench = json.loads(args.out.read_text()) if args.out.exists() else {}
@@ -246,6 +259,7 @@ def main(argv=None) -> int:
             "src_lines": sum(len(f.read_text().splitlines()) for f in src.glob("mahonian/*.py")),
             "cold_start": colds[i],
             f"us_per_call_on_S_{args.n}": calls[i],
+            f"us_per_call_on_[{args.alphabet}]^{args.n}": word_calls[i],
             f"fused_group_s_at_n{args.n}_over_{args.alphabet}": groups[i],
             "fused_sn_pass": passes[i],
         }

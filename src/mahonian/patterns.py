@@ -15,15 +15,16 @@ or one pattern as a sum of one term, becomes one counter for the trie of
 its terms' blocks.  Terms share a node for as long as their blocks have the
 same lengths and their letters so far the same relative order, which is
 when they make the same comparisons.  Each node's block is placed once, by
-one loop over its start positions that compares each letter inline with at
-most two letters already matched; the terms that end there add their
-multiplicity, and the single-letter last blocks below it are counted
-together in one inner loop over the rest of the word.  The code is built
-from letter indices and fixed operators only, and is kept in a small
-bounded cache keyed by the terms; a `PatternSum` also holds its own.  The
-counter stays generic in the pattern, since it is the oracle that the
-verifier holds the closed-form STAT kernel to; the tests compare it with a
-naive backtracker and with a scan of every index tuple.
+one loop over its start positions, which its siblings of the same length
+share; each compares its letters in one guard, each letter with at most two
+letters already matched; the terms that end there add their multiplicity,
+and the single-letter last blocks below it are counted together in one
+inner loop over the rest of the word.  The code is built from letter
+indices and fixed operators only, and is kept in a small bounded cache
+keyed by the terms; a `PatternSum` also holds its own.  The counter stays
+generic in the pattern, since it is the oracle that the verifier holds the
+closed-form STAT kernel to; the tests compare it with a naive backtracker
+and with a scan of every index tuple.
 """
 from __future__ import annotations
 
@@ -154,10 +155,11 @@ class _Node:
 
 def _source(terms: tuple[VincularPattern, ...]) -> str:
     """Python source of the counter of a sum: one function b<k> per trie node
-    with blocks below, b0 the root's, which loops over the start positions of
-    each block below but the tails.  Calls, not nested loops, chain the
-    blocks, so that more blocks compile than Python nests loops, up to
-    `_MAX_BLOCKS` per term.  Only indices and fixed operators are written."""
+    with blocks below, b0 the root's, which loops once over the start
+    positions of the blocks below of each length but the tails.  Calls, not
+    nested loops, chain the blocks, so that more blocks compile than Python
+    nests loops, up to `_MAX_BLOCKS` per term.  Only indices and fixed
+    operators are written."""
     root = _Node()
     for term in terms:
         node, letters = root, term.letters
@@ -175,26 +177,33 @@ def _source(terms: tuple[VincularPattern, ...]) -> str:
         if k:
             matched = "".join(f", x{d}" for d in range(len(node.letters)))
             lines += [f"def b{k}(w, n, lo{matched}):", "    total = 0"]
-        for block in [c for c in node.children.values() if not c.tail()]:
-            end, size = len(block.letters), len(block.letters) - block.first
-            tails = [c for c in block.children.values() if c.tail()]
-            # Start positions leave room for the shortest term through the block.
-            lines.append(f"    for s in range(lo, n - {block.reach - 1}):")
-            for i in range(block.first, end):
-                offset = f" + {i - block.first}" if i > block.first else ""
+        first, siblings = len(node.letters), {}  # the blocks below, by length
+        for c in node.children.values():
+            if not c.tail():
+                siblings.setdefault(len(c.letters) - first, []).append(c)
+        for size, blocks in siblings.items():
+            end, reach = first + size, min(block.reach for block in blocks)
+            # Start positions leave room for the shortest term through the blocks.
+            lines.append(f"    for s in range(lo, n - {reach - 1}):")
+            for i in range(first, end):
+                offset = f" + {i - first}" if i > first else ""
                 lines.append(f"        x{i} = w[s{offset}]")
-                test = _comparison(block.letters, i)
-                lines += [f"        if not ({test}):", "            continue"] if test else []
-            lines += [f"        total += {block.ends}"] if block.ends else []
-            lines += [f"        for x{end} in w[s + {size}:]:"] if tails else []
-            for tail in tails:
-                test = _comparison(tail.letters, end)
-                lines += [f"            if {test}:", f"                total += {tail.ends}"]
-            if len(tails) < len(block.children):
-                made += 1
-                matched = "".join(f", x{d}" for d in range(end))
-                lines.append(f"        total += b{made}(w, n, s + {size}{matched})")
-                todo.append((block, made))
+            for block in blocks:
+                tests = [f"s < n - {block.reach - 1}"] if block.reach > reach else []
+                tests += filter(None, (_comparison(block.letters, i) for i in range(first, end)))
+                pad = "            " if tests else "        "
+                lines += [f"        if {' and '.join(tests)}:"] if tests else []
+                lines += [f"{pad}total += {block.ends}"] if block.ends else []
+                tails = [c for c in block.children.values() if c.tail()]
+                lines += [f"{pad}for x{end} in w[s + {size}:]:"] if tails else []
+                for tail in tails:
+                    test = _comparison(tail.letters, end)
+                    lines += [f"{pad}    if {test}:", f"{pad}        total += {tail.ends}"]
+                if len(tails) < len(block.children):
+                    made += 1
+                    matched = "".join(f", x{d}" for d in range(end))
+                    lines.append(f"{pad}total += b{made}(w, n, s + {size}{matched})")
+                    todo.append((block, made))
         lines.append("    return total")
     return "\n".join(lines) + "\n"
 

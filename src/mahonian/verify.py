@@ -574,13 +574,14 @@ def _fused(task: _Task) -> list[Counterexample | None]:
         row: dict = {}
         for i, step in live:
             try:
-                failures[i] = step(w, row)
+                failure = step(w, row)
             except Exception as exc:  # a map that raises on an instance fails there
-                failures[i] = _raised(words.format_word(w), exc)
-        if failures.count(None) < len(live):
-            live = [(i, step) for i, step in live if failures[i] is None]
-            if not live:
-                break
+                failure = _raised(words.format_word(w), exc)
+            if failure is not None:  # the judges after it still see w
+                failures[i] = failure
+                live = [(j, other) for j, other in live if j != i]
+        if not live:
+            break
     for i, _ in live:
         failures[i] = judges[i].verdict()
     return failures

@@ -14,9 +14,10 @@ of MAJ.  `STATISTICS` is the one table of them by name, with the descent,
 inverse descent and shuffle sets; des, MAJ and STAT are projections of the
 descent set, ides and IMAJ of the inverse descent set.  `reader` is the one
 reader of the table: it looks each name up once, when it is built, and finds
-each word's descents once.  A `Permutation` is a word known to be a
-permutation: the maps take it unchecked, and Id, STAT and Adj read it
-without coding or sorting it.
+each word's descents once.  A plain word's Id and Adj are read off its
+sorted positions, without coding it.  A `Permutation` is a word known to be
+a permutation: the maps take it unchecked, and only it is read as its own
+code, so Id, STAT and Adj read it without sorting it.
 """
 from __future__ import annotations
 
@@ -55,7 +56,8 @@ class Permutation(tuple):
     are 1..n by construction) and the swap walk of `verify`, which wraps a map's
     image once `is_permutation` has read it.  `check_permutation` accepts one
     without reading its letters, and `inverse_descent_set`, `stat` and `adj`
-    read one as its own code, so only code that has checked them may make one."""
+    read one as its own code, where they read a plain word off its sorted
+    positions, so only code that has checked them may make one."""
 
     __slots__ = ()
 
@@ -181,7 +183,8 @@ def descent_set(w: Sequence[int]) -> frozenset[int]:
 
 
 def inverse_descent_set(w: Sequence[int]) -> frozenset[int]:
-    """Values v of the coded word such that v+1 appears before v.  A
+    """Values v of the coded word such that v+1 appears before v.  A plain
+    word's are read off its sorted positions, without coding it; a
     `Permutation` is its own code, read in one pass without a sort."""
     if not w:
         raise EmptyInputError("inverse descents of an empty word are undefined")
@@ -193,9 +196,15 @@ def inverse_descent_set(w: Sequence[int]) -> frozenset[int]:
                 ids.append(x)
             seen[x] = True
         return frozenset(ids)
-    # order[v - 1] is the position of the letter that codes to v.
-    order = sorted(range(len(w)), key=w.__getitem__)
-    return frozenset(v for v in range(1, len(w)) if order[v] < order[v - 1])
+    # Over the positions in coding order (order[v - 1] codes to v), v is an
+    # inverse descent when order[v - 1] > order[v].
+    ids, v, prev = [], 0, -1
+    for i in sorted(range(len(w)), key=w.__getitem__):
+        if prev > i:
+            ids.append(v)
+        prev = i
+        v += 1
+    return frozenset(ids)
 
 
 def shuffle_set(w: Sequence[int]) -> frozenset[int]:
@@ -217,17 +226,28 @@ def shuffle_set(w: Sequence[int]) -> frozenset[int]:
 def adj(w: Sequence[int]) -> int:
     """Count positions of the coded word where an entry is followed by its
     predecessor, with a trailing sentinel 0 (so the last term fires iff the
-    coded word ends in 1).  A `Permutation` is its own code."""
+    coded word ends in 1).  A plain word is read off its sorted positions,
+    without coding it; a `Permutation` is its own code."""
     if not w:
         raise EmptyInputError("Adj of an empty word is undefined")
-    # One pass carrying the previous letter, as `descent_set`; the sentinel
-    # is the last term.
-    count, prev = 0, 0
-    for x in w if type(w) is Permutation else code(w):
-        if prev == x + 1:
+    # One pass carrying the previous entry, as `descent_set`.
+    count = 0
+    if type(w) is Permutation:  # the sentinel is the last term
+        prev = 0
+        for x in w:
+            if prev == x + 1:
+                count += 1
+            prev = x
+        return count + (prev == 1)
+    # Over the positions in coding order, as in `inverse_descent_set`: v - 1
+    # follows v when order[v - 2] == order[v - 1] + 1, and the sentinel is a
+    # leading n, which is order[0] + 1 when 1 ends the code.
+    prev = len(w)
+    for i in sorted(range(len(w)), key=w.__getitem__):
+        if prev == i + 1:
             count += 1
-        prev = x
-    return count + (prev == 1)
+        prev = i
+    return count
 
 
 def _stat(w: Sequence[int], d: frozenset[int]) -> int:

@@ -102,6 +102,42 @@ def adj_without_the_sentinel(real):
     return planted
 
 
+def adj_scan_without_the_sentinel(real):
+    """Adj's scan of a plain word's sorted positions without its sentinel,
+    the leading n; a `Permutation` is read as before."""
+
+    def planted(w):
+        if type(w) is Permutation:
+            return real(w)
+        count, prev = 0, -1
+        for i in sorted(range(len(w)), key=w.__getitem__):
+            if prev == i + 1:
+                count += 1
+            prev = i
+        return count
+
+    return planted
+
+
+def ids_scan_reads_ascents_of_the_order(real):
+    """Id's scan of a plain word's sorted positions taking v where they
+    rise from v - 1 to v, not where they drop; a `Permutation` is read as
+    before."""
+
+    def planted(w):
+        if type(w) is Permutation:
+            return real(w)
+        ids, v, prev = [], 0, len(w)
+        for i in sorted(range(len(w)), key=w.__getitem__):
+            if prev < i:
+                ids.append(v)
+            prev = i
+            v += 1
+        return frozenset(ids)
+
+    return planted
+
+
 def burstein_tail(fn):
     """`burstein_p` with a wrong tail: t = p_1, then `fn(p, r)` for the
     closed form's letter map r."""
@@ -202,7 +238,7 @@ MUTANTS = [
     row(
         "code ranks ties right to left",
         wrong(words, "code", code_ties_right_to_left),
-        ("thm-1.2", "cor-1.4", "cor-1.5", "eq-2", "prop-2.4"),
+        ("cor-1.4", "cor-1.5", "eq-2", "prop-2.4"),
     ),
     row("stat is off by the first letter", wrong(words, "stat", stat_off_by_first_letter), SWAPS),
     row(
@@ -219,6 +255,16 @@ MUTANTS = [
         "Adj drops the sentinel's term",
         wrong(words, "adj", adj_without_the_sentinel),
         ("thm-1.1", "thm-1.2"),
+    ),
+    row(
+        "Adj's position scan drops the sentinel's term",
+        wrong(words, "adj", adj_scan_without_the_sentinel),
+        ("thm-1.2", "eq-2"),
+    ),
+    row(
+        "Id's position scan reads ascents of the order",
+        wrong(words, "inverse_descent_set", ids_scan_reads_ascents_of_the_order),
+        ("lemma-3.1", "eq-2"),
     ),
     row(
         "phi is the identity",

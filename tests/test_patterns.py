@@ -262,14 +262,28 @@ class TestCompiledSums:
 
     def test_stat_w_places_each_leading_block_once_and_counts_last_letters_inline(self):
         source = patterns._source(patterns.named_sum("STAT_w").terms)
-        # 21-3, 21-2, 32-1 and 21 begin with a descent, 13-2 and 12-1 with an ascent.
-        assert source.count("def ") == 1 and source.count("for s in range(") == 2
+        # 21-3, 21-2, 32-1 and 21 begin with a descent, 13-2 and 12-1 with an
+        # ascent: two blocks of two letters, placed by one loop.
+        assert source.count("def ") == 1 and source.count("for s in range(") == 1
         assert source.count("for x2 in w[s + 2:]:") == 2 and "b1(" not in source
+
+    @pytest.mark.parametrize("terms", [("21", "12-3"), ("21", "12-3-1", "11"), ("12-1", "21-3-2")])
+    def test_sibling_blocks_of_one_length_and_different_reach_share_a_loop(self, terms):
+        summed = patterns.PatternSum(tuple(map(patterns.parse_pattern, terms)))
+        source = patterns._source(summed.terms)
+        # The shortest term through the blocks sets the loop's range; the
+        # longer one is bounded in its own guard.
+        assert source.count("for s in range(lo, n - ") == 1 + ("b1(" in source)
+        assert f"s < n - {len(summed.terms[1].letters) - 1} and " in source
+        for n in range(8):
+            for w in word_cube(3, n):
+                assert patterns.eval_sum(summed, w) == sum(brute_count(t, w) for t in summed.terms)
 
     def test_terms_share_a_block_until_their_comparisons_differ(self):
         source = patterns._source(patterns.named_sum("INV").terms)
         # 3-12, 3-21 and 2-31 share their first letter; 21 is a block of its own.
-        assert source.count("def ") == 2 and source.count("for s in range(") == 5
+        # Their three second blocks, of two letters each, share one loop.
+        assert source.count("def ") == 2 and source.count("for s in range(") == 3
         assert source.count("total += b1(") == 1
 
     def test_a_term_past_the_block_limit_is_refused_before_any_code(self, generated):

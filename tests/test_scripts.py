@@ -87,6 +87,8 @@ def test_bench_parts():
         assert cold["peak_rss_mb_median"] > 0 and cold["import_mahonian_cli_us_median"] > 0
     [rows] = bench.per_call([(involution, patterns, tableaux, verify, words)], 3, 1)
     assert len(rows) == 14 and all(us > 0 for us in rows.values())
+    [rows] = bench.per_call([(involution, patterns, tableaux, verify, words)], 3, 1, 2)
+    assert tuple(rows) == bench.WORD_ROWS and all(us > 0 for us in rows.values())
     [groups] = bench.fused_groups([verify], 3, 2, 1)
     assert sorted(name for group in groups for name in group["checks"]) == sorted(verify.CHECK_IDS)
     [sn] = bench.sn_pass([verify], (4, 2), 1)
@@ -123,6 +125,7 @@ def test_bench_adds_a_record(tmp_path, monkeypatch, capsys):
     assert record["change"]["src_lines"] == src_lines
     assert record["change"]["cold_start"]["runs"] == 2
     assert len(record["change"]["us_per_call_on_S_3"]) == 14
+    assert tuple(record["change"]["us_per_call_on_[2]^3"]) == bench.WORD_ROWS
     groups = record["change"]["fused_group_s_at_n3_over_2"]
     assert sorted(name for group in groups for name in group["checks"]) == sorted(verify.CHECK_IDS)
     sn = record["change"]["fused_sn_pass"]

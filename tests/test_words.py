@@ -263,6 +263,39 @@ class TestPermutationPath:
                 assert fn(words.Permutation(p)) == fn(p), p
 
 
+# Words of the long-words shapes: lengths 1-48 over [12], the alphabet drawn
+# first so that small alphabets, and so many ties, are as common as large ones.
+long_words = (
+    st.tuples(st.integers(1, 12), st.integers(1, 48))
+    .flatmap(lambda mn: st.lists(st.integers(1, mn[0]), min_size=mn[1], max_size=mn[1]))
+    .map(tuple)
+)
+
+
+class TestPositionScan:
+    """Id and Adj read a plain word off its sorted positions, without coding
+    it; each gives the value that its `Permutation` path gives on the code."""
+
+    @pytest.mark.parametrize("fn", [words.inverse_descent_set, words.adj])
+    def test_a_word_reads_as_its_code(self, fn):
+        for n in range(1, 8):
+            for w in verify.word_cube(3, n):
+                assert fn(w) == fn(words.code(w)), w
+
+    @settings(max_examples=200, deadline=None)
+    @given(long_words)
+    def test_a_long_word_reads_as_its_code(self, w):
+        p = words.code(w)
+        assert words.inverse_descent_set(w) == words.inverse_descent_set(p)
+        assert words.adj(w) == words.adj(p)
+
+    # 2321 codes to 2431: 4 is followed by 3 and 1 ends it; 2 precedes 1, 4 precedes 3.
+    @pytest.mark.parametrize("fn, want", [(words.adj, 2), (words.inverse_descent_set, {1, 3})])
+    def test_a_word_is_not_coded(self, monkeypatch, fn, want):
+        monkeypatch.setattr(words, "code", None)
+        assert fn((2, 3, 2, 1)) == want
+
+
 class TestStat:
     def test_table_values(self):
         assert words.stat((2, 1, 2, 1)) == 4
