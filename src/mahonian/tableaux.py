@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError, NotStandardError, ShapeMismatchError
-from .words import Word, check_permutation
+from .words import Word, check_permutation, is_permutation
 
 _CACHED_LETTERS = 10
 # Q(rc(p)) by row, keyed by Q(p) by row; tuples, which `_unbump` cannot consume.
@@ -72,8 +72,7 @@ class Tableau:
         shape = self.shape
         if any(a < b for a, b in zip(shape, shape[1:])) or (shape and shape[-1] == 0):
             raise NotStandardError(f"row lengths must weakly decrease and stay positive: {shape}")
-        entries = sorted(e for row in self.rows for e in row)
-        if entries != list(range(1, self.size + 1)):
+        if not is_permutation([e for row in self.rows for e in row]):
             raise NotStandardError("entries must be exactly 1..n, each once")
         for row in self.rows:
             if any(a >= b for a, b in zip(row, row[1:])):
@@ -190,7 +189,7 @@ def _foata_j(p: Sequence[int]) -> Word:
 def _switched(w: Word) -> Word:
     """The switched form of a standardized subword, checked to be a permutation."""
     image = _foata_j(w)
-    if sorted(image) != list(range(1, len(w) + 1)):
+    if len(image) != len(w) or not is_permutation(image):
         raise InternalInvariantError(f"switching sends the subword {w} to {image}")
     return image
 

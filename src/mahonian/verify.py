@@ -65,7 +65,7 @@ from .errors import (
 )
 from .tableaux import foata_j
 # The statistic table lives in `words`; `verify.STATISTICS` is the same dict.
-from .words import HEADINGS, STATISTICS, Permutation, Word, statistic
+from .words import HEADINGS, STATISTICS, Permutation, Word, is_permutation, statistic
 
 # ------------------------------------------------------------------ domains
 
@@ -73,11 +73,11 @@ from .words import HEADINGS, STATISTICS, Permutation, Word, statistic
 def symmetric_group(n: int, *head: int) -> Iterator[Word]:
     """All permutations of 1..n that begin with `head`, in lexicographic order.
 
-    `head` is checked once to be distinct int letters of 1..n, so every word
-    yielded is a permutation, and is yielded as a `words.Permutation`.
+    `head`, followed by the letters it leaves, is checked once by
+    `is_permutation`, so every word yielded is one, as a `words.Permutation`.
     """
-    rest = [v for v in range(1, n + 1) if v not in head]
-    if len(head) + len(rest) != n or not {int}.issuperset(map(type, head)):
+    rest = tuple(v for v in range(1, n + 1) if v not in head)
+    if len(head) + len(rest) != n or not is_permutation(head + rest):
         raise ValueError(f"a head of S_{n} needs distinct int letters of 1..{n}: {head}")
     return (Permutation(head + tail) for tail in _permutations(rest))
 
@@ -214,8 +214,12 @@ _SUM_SCHEMA = ("des", "maj", "F")
 
 def _swapped(schema: Sequence[str]) -> tuple[str, ...]:
     """The schema with MAJ and STAT exchanged: what the image of a swap must show."""
-    exchange = {"maj": "stat", "stat": "maj"}
-    return tuple(exchange.get(name, name) for name in schema)
+    return tuple({"maj": "stat", "stat": "maj"}.get(name, name) for name in schema)
+
+
+def _exchanged(schema: Sequence[str], swapped: Sequence[str]) -> Callable[[tuple], tuple]:
+    """The getter of a `schema` profile's columns in the order of `swapped`."""
+    return operator.itemgetter(*[schema.index(name) for name in swapped])
 
 
 _CUBE_SWAPPED = _swapped(_CUBE_SCHEMA)
@@ -302,9 +306,8 @@ class _SwapWalk(_Judge):
     for fails, since its image does not map back to it."""
 
     def __init__(self, map_name: str, schema: Sequence[str], args: tuple) -> None:
-        self.map_name, self.schema, self.read = map_name, schema, words.reader(schema)
-        self.image_schema = _swapped(schema)
-        self.columns = operator.itemgetter(*[schema.index(name) for name in self.image_schema])
+        self.map_name, self.schema, self.image_schema = map_name, schema, _swapped(schema)
+        self.read, self.columns = words.reader(schema), _exchanged(schema, self.image_schema)
         self.vouched: set[Word] = set()
 
     def step(self, w, row: dict) -> Counterexample | None:
@@ -369,8 +372,8 @@ class _CubeTally(_Judge):
         left = self.counts
         # The swapped distribution re-indexes the columns of the same one:
         # the swapped schema permutes the schema, so no two tuples share a key.
-        columns = [_CUBE_SCHEMA.index(name) for name in _CUBE_SWAPPED]
-        right = Counter({tuple(t[i] for i in columns): count for t, count in left.items()})
+        columns = _exchanged(_CUBE_SCHEMA, _CUBE_SWAPPED)
+        right = Counter({columns(t): count for t, count in left.items()})
         if left == right:
             return None
         try:
@@ -698,10 +701,8 @@ def _build(name: str, bounds: CheckBounds, sweep: bool):
     if chunk is symmetric_group:
         sizes = range(1, n + 1) if sweep else range(n, n + 1)
         domain = f"S_{n}" if len(sizes) == 1 else f"S_1..S_{n}"
-        if sweep:
-            work = _sum_past(_factorials(n, limit), limit)
-        else:
-            *_, work = _factorials(n, limit)
+        factorials = list(_factorials(n, limit))
+        work = _sum_past(factorials, limit) if sweep else factorials[-1]
         chunks = ((math.factorial(k - 1), (k, first)) for k in sizes for first in range(1, k + 1))
     elif chunk is word_cube:
         domain = f"[m]^n, m<={m}, n<={n}"

@@ -382,6 +382,7 @@ class TestDirectAction:
             lambda w: w[:1] * len(w),  # a letter repeated
             lambda w: w[:-1],  # one letter short
             lambda w: w + (len(w) + 1,),  # one letter long
+            lambda w, real=tableaux._foata_j: tuple(map(float, real(w))),  # true, as floats
         ],
     )
     def test_a_wrong_switch_fails_closed(self, monkeypatch, capsys, planted):

@@ -86,6 +86,8 @@ class TestInverseRsk:
             [[1, 2], [2]],       # duplicate entry
             [[1], [2, 3]],       # shape not weakly decreasing
             [[1, 2], [4], [3]],  # column not increasing
+            [[True, 2]],         # entries equal to 1..n, not ints
+            [[1.0], [2.0]],
         ],
     )
     def test_not_standard(self, rows):

@@ -1333,3 +1333,86 @@ class TestEnumeratedWords:
         monkeypatch.setattr(verify, "foata_j", lambda p: received.append(p) or real(p))
         assert verify.check("lemma-3.1", verify.CheckBounds(n=4)).passed
         assert received == list(verify.symmetric_group(4))
+
+
+def _first_failure(judge, instances):
+    """A judge's first failure over `instances`, each with a fresh row, else
+    its verdict: `verify._fused` for one judge."""
+    for w in instances:
+        failure = judge.step(w, {})
+        if failure is not None:
+            return failure
+    return judge.verdict()
+
+
+class TestFalseStatements:
+    """Each judge class FAILs a false statement built from the true kernels:
+    a stronger schema than the paper claims, or a kernel bound where the
+    paper does not claim it.  Nothing is planted wrong."""
+
+    @pytest.mark.parametrize(
+        "map_name, schema, expected, actual",
+        [
+            # Burstein's map keeps Adj, not Id
+            (
+                "burstein_p",
+                verify._SWAP_SCHEMA,
+                "(des, Id, F, MAJ, STAT) = (1, {3}, 1, 3, 2)",
+                "image 1324: (des, Id, F, STAT, MAJ) = (1, {2}, 1, 3, 2)",
+            ),
+            # phi keeps Id, not Adj
+            (
+                "phi",
+                verify._ADJ_SCHEMA,
+                "(Adj, des, F, MAJ, STAT) = (1, 1, 1, 3, 2)",
+                "image 1423: (Adj, des, F, STAT, MAJ) = (0, 1, 1, 3, 2)",
+            ),
+        ],
+        ids=["burstein_p keeps no Id", "phi keeps no Adj"],
+    )
+    def test_a_swap_walk_on_the_other_maps_schema(self, map_name, schema, expected, actual):
+        judge = verify._SwapWalk(map_name, schema, (4,))
+        assert _first_failure(judge, verify.symmetric_group(4)) == verify.Counterexample(
+            "1243", expected, actual
+        )
+
+    def test_the_cube_sextuple_is_not_symmetric_on_a_class(self):
+        """Kitaev and Vajnovszki's sextuple is equidistributed on [m]^n, not
+        on R(w); the tally names the cube of the arguments it is started with."""
+        judge = verify._CubeTally((2, 4))
+        assert _first_failure(judge, verify.rearrangement_class((1, 1, 1, 2))) == (
+            verify.Counterexample(
+                "[2]^4",
+                "multiplicity of (0, 1, 1, 1, 2, 3) in the (.., MAJ, STAT) distribution = 1",
+                "multiplicity in the (.., STAT, MAJ) distribution = 0",
+            )
+        )
+        failing = [
+            letters
+            for letters in verify.multisets(3, 7)
+            if _first_failure(
+                verify._CubeTally((3, len(letters))), verify.rearrangement_class(letters)
+            )
+        ]
+        assert (len(failing), failing[0]) == (68, (1, 1, 1, 2))
+        assert sum(1 for _ in verify.multisets(3, 7)) == 119
+
+    def test_lemma_3_1_with_burstein_p_for_foata_j(self, monkeypatch):
+        """Reverse-complement keeps no Id and reflects no D; 132 is fixed."""
+        monkeypatch.setattr(verify, "foata_j", involution.burstein_p)
+        assert verify.check("lemma-3.1", verify.CheckBounds(n=3)).lines() == [
+            "FAIL lemma-3.1 (S_3): 6 instances",
+            "    input:    132",
+            "    expected: Id = {2}, reflected D = {1}",
+            "    actual:   image 132: Id = {2}, D = {2}",
+        ]
+
+    def test_prop_2_4_with_the_descent_set_for_id(self, monkeypatch):
+        """Compatibility is a condition on Id; on D it admits other codes."""
+        monkeypatch.setitem(words.STATISTICS, "Id-set", words.descent_set)
+        assert verify.check("prop-2.4", verify.CheckBounds(n=4, alphabet=2)).lines() == [
+            "FAIL prop-2.4 (classes with n<=4, letters<=2): 14 instances",
+            "    input:    112",
+            "    expected: identical characterizations of the compatible permutations",
+            "    actual:   231 appears only in the inverse-descent side",
+        ]
