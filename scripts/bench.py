@@ -13,7 +13,8 @@ A record holds five things:
   passes in one process, warm caches; a statistic reader is built once per
   schema, outside the timing;
 - seconds per fused group of `verify all` at n over [alphabet], each group
-  the checks that share a chunk function, the minimum of 5 runs.
+  the checks that share a chunk function, and seconds of the same checks
+  run alone, one pass each, one after another, each the minimum of 5 runs;
 - microseconds per permutation of the fused pass of the five S_n checks
   over one chunk, the S_9 slice with first letter 5 (8! = 40,320
   permutations), the minimum of 5 passes.
@@ -189,22 +190,43 @@ def per_call(libs, n, passes, alphabet=None):
     return out
 
 
+def run_alone(verify, names, bounds):
+    """The reports of the checks `names`, each run in a pass of its own."""
+    return [report for name in names for report in verify._run([name], bounds, True)]
+
+
 def fused_groups(verifies, n, alphabet, passes):
     """For each checkout's `verify`, the seconds of each fused group of
-    `verify all`, the minimum of `passes`; the checkouts take turns."""
+    `verify all` and of the group's checks run alone one after another, each
+    the minimum of `passes`; the checkouts, and in each the fused group and
+    its checks alone, take turns."""
     groups = {}
     for name in verifies[0].CHECK_IDS:
         groups.setdefault(verifies[0]._CHECKS[name].chunk, []).append(name)
     out = [[] for _ in verifies]
     for names in groups.values():
-        runs = [
-            functools.partial(verify._run, names, verify.CheckBounds(n=n, alphabet=alphabet), True)
-            for verify in verifies
-        ]
-        for record, best, reports in zip(out, *best_of(runs, passes)):
+        runs = []
+        for verify in verifies:
+            bounds = verify.CheckBounds(n=n, alphabet=alphabet)
+            runs += [
+                functools.partial(verify._run, names, bounds, True),
+                functools.partial(run_alone, verify, names, bounds),
+            ]
+        best, results = best_of(runs, passes)
+        for i, record in enumerate(out):
+            fused, alone = best[2 * i], best[2 * i + 1]
+            reports = results[2 * i] + results[2 * i + 1]
             if not all(r.passed for r in reports):
                 raise SystemExit(f"{', '.join(names)} FAIL at n={n} over [{alphabet}]")
-            record.append({"checks": names, "s": round(best, 4), "instances": reports[0].instances})
+            record.append(
+                {
+                    "checks": names,
+                    "s": round(fused, 4),
+                    "alone_s": round(alone, 4),
+                    "fused_over_alone": round(fused / alone, 3),
+                    "instances": reports[0].instances,
+                }
+            )
     return out
 
 

@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 from .errors import EmptyInputError, InternalInvariantError, InvalidTripleError
 from .tableaux import foata_j, switch  # foata_j stays importable from here
-from .words import Word, check_permutation, code, decode, format_word, shuffle_set
+from .words import Word, check_permutation, code, decode, format_word, is_permutation, shuffle_set
 
 
 @dataclass(frozen=True)
@@ -75,10 +75,10 @@ def recompose(triple: ShuffleTriple) -> Word:
     Fails closed: letter ranges, boundary ranges, and the alternating block
     sizes are all validated before any filling happens.
     """
-    n, threshold = triple.size, triple.threshold
-    if sorted(triple.top) != list(range(threshold + 1, n + 1)) or sorted(
-        triple.bottom
-    ) != list(range(1, threshold)):
+    n, threshold, top = triple.size, triple.threshold, triple.top
+    # With the threshold the letters must be the ints 1..n, the top those above it.
+    above = sorted(top) == list(range(threshold + 1, n + 1))
+    if not (above and is_permutation((threshold, *top, *triple.bottom))):
         raise InvalidTripleError("top/bottom letters must split 1..n around the threshold")
     cuts = sorted(triple.shuffle)
     if any(not 1 <= b <= n - 1 for b in cuts):

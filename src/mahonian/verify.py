@@ -24,8 +24,9 @@ exactly when it holds on each slice, and it is judged per slice.
 A task is one chunk, judged in one pass by every check of the run that
 shares its chunk function: a single check is a pass of one, and `run_all`
 runs one pass per chunk for the five S_n checks, for thm-1.2 and eq-2, and
-for cor-1.4 and cor-1.5.  A pass hands each word to every check that has
-not failed yet, with a row made afresh for the word, in which each image
+for cor-1.4 and cor-1.5.  A pass reads its chunk in blocks, and every check
+that has not failed judges a whole block before the next one starts, with a
+row per word, kept until every check has read the block, in which each image
 and statistic of the word and of its images is computed once for all of
 them: statistics read by `words.reader`s that each check builds when the
 pass starts, and each image with its own row nested in the word's.  Each
@@ -557,7 +558,8 @@ _CLASS_CHECKS = tuple(
 # A task is one chunk judged by every check of the run that shares its chunk
 # function, and returns each check's first failure in the chunk, so a merge
 # in task order yields each check's lexicographically least counterexample
-# independent of scheduling.
+# independent of scheduling.  A pass reads its chunk this many words at a time:
+_BLOCK_WORDS = 32
 
 
 class _Task(NamedTuple):
@@ -567,24 +569,26 @@ class _Task(NamedTuple):
 
 
 def _fused(task: _Task) -> list[Counterexample | None]:
-    """Each of the task's checks' first failure on its chunk, read once: each
-    word goes, in check order, to every judge that has not failed, with one
-    row that lets them share the word's images and statistics."""
+    """Each of the task's checks' first failure on its chunk, read once in
+    blocks: each judge that has not failed, in check order, reads a whole
+    block, with one row per word that lets them share its images and
+    statistics, and stops at its first failure."""
     judges = [_CHECKS[name].start(task.args) for name in task.names]
     failures: list[Counterexample | None] = [None] * len(judges)
     live = [(i, judge.step) for i, judge in enumerate(judges)]
-    for w in _CHECKS[task.names[0]].chunk(*task.args):
-        row: dict = {}
+    chunk = iter(_CHECKS[task.names[0]].chunk(*task.args))
+    while live and (block := list(islice(chunk, _BLOCK_WORDS))):
+        rows = [{} for _ in block]
         for i, step in live:
-            try:
-                failure = step(w, row)
-            except Exception as exc:  # a map that raises on an instance fails there
-                failure = _raised(words.format_word(w), exc)
-            if failure is not None:  # the judges after it still see w
-                failures[i] = failure
-                live = [(j, other) for j, other in live if j != i]
-        if not live:
-            break
+            for w, row in zip(block, rows):
+                try:
+                    failure = step(w, row)
+                except Exception as exc:  # a map that raises on an instance fails there
+                    failure = _raised(words.format_word(w), exc)
+                if failure is not None:  # the judges after it still read the block
+                    failures[i] = failure
+                    break
+        live = [(i, step) for i, step in live if failures[i] is None]
     for i, _ in live:
         failures[i] = judges[i].verdict()
     return failures

@@ -79,6 +79,14 @@ class TestRecompose:
         with pytest.raises(InvalidTripleError):
             recompose(ShuffleTriple((2, 3), (5,), frozenset({1})))
 
+    @pytest.mark.parametrize(
+        "top, bottom", [((3.0,), (1.0,)), ((3,), (True,))], ids=["floats", "bool"]
+    )
+    def test_letters_equal_to_ints_but_not_ints(self, top, bottom):
+        """1.0 == True == 1, but a permutation's letters are ints."""
+        with pytest.raises(InvalidTripleError, match="must split 1..n around the threshold"):
+            recompose(ShuffleTriple(top, bottom, frozenset({1, 2})))
+
     def test_bad_boundary_range(self):
         with pytest.raises(InvalidTripleError):
             recompose(ShuffleTriple((3,), (1,), frozenset({3})))

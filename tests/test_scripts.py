@@ -91,6 +91,8 @@ def test_bench_parts():
     assert tuple(rows) == bench.WORD_ROWS and all(us > 0 for us in rows.values())
     [groups] = bench.fused_groups([verify], 3, 2, 1)
     assert sorted(name for group in groups for name in group["checks"]) == sorted(verify.CHECK_IDS)
+    for group in groups:  # each group's checks, also run alone
+        assert group["s"] > 0 and group["alone_s"] > 0 and group["fused_over_alone"] > 0
     [sn] = bench.sn_pass([verify], (4, 2), 1)
     assert sn["checks"] == ("thm-1.1", "thm-1.3", "lemma-3.1", "lemma-3.4", "lemma-3.5")
     assert (sn["n"], sn["first_letter"], sn["permutations"]) == (4, 2, 6)
@@ -128,6 +130,7 @@ def test_bench_adds_a_record(tmp_path, monkeypatch, capsys):
     assert tuple(record["change"]["us_per_call_on_[2]^3"]) == bench.WORD_ROWS
     groups = record["change"]["fused_group_s_at_n3_over_2"]
     assert sorted(name for group in groups for name in group["checks"]) == sorted(verify.CHECK_IDS)
+    assert all(group["alone_s"] > 0 and "fused_over_alone" in group for group in groups)
     sn = record["change"]["fused_sn_pass"]
     assert (sn["n"], sn["first_letter"], sn["permutations"]) == (3, 2, 2)
 

@@ -1097,6 +1097,20 @@ PLANTED = {
     ),
 }
 
+# Faults of PLANTED's kinds at words deep in their chunks at n=7 over [3]: the
+# first FAIL of each check they fail lies past the first block of its chunk.
+DEEP = {
+    "phi raising at 5274163": _patched(involution, "phi", _raising_at((5, 2, 7, 4, 1, 6, 3))),
+    "stat column off at 2313212": _patched(
+        STATS, "stat", lambda real: lambda w: real(w) + (tuple(w) == (2, 3, 1, 3, 2, 1, 2))
+    ),
+    "code reversed at 3323323": _patched(
+        words,
+        "code",
+        lambda real: lambda w: real(w)[::-1] if tuple(w) == (3, 3, 2, 3, 3, 2, 3) else real(w),
+    ),
+}
+
 
 class TestFusedPass:
     def test_map_calls_are_shared_only_within_a_word(self, monkeypatch):
@@ -1114,10 +1128,12 @@ class TestFusedPass:
         assert calls == {"phi": 873 + 369 + 1_092, "phi_on_class": 1_092}
 
     def test_the_memo_holds_only_the_word_and_its_images(self, monkeypatch):
-        """Each word's row, the last judge of the pass sees it, holds only the
-        word's own statistics and, under a map's name, (image, image's row),
-        whose row holds only the image's own, a fixed point's being the word's."""
-        held = {}
+        """Each word has one row, fresh for the word, which the first and the
+        last judge of the pass both see.  As the last sees it, it holds only
+        the word's own statistics and, under a map's name, (image, image's
+        row), whose row holds only the image's own, a fixed point's being the
+        word's."""
+        held, first = {}, {}
 
         class Spy(verify._Judge):
             def __init__(self, args):
@@ -1125,6 +1141,10 @@ class TestFusedPass:
 
             def step(self, w, row):
                 held[w] = row
+
+        class FirstSpy(Spy):
+            def step(self, w, row):
+                first[w] = row
 
         def maps_of(w, row, maps):
             """The map names in `row`, each value checked against w."""
@@ -1140,18 +1160,30 @@ class TestFusedPass:
                     maps_of(image, image_row, maps)
             return found
 
-        monkeypatch.setitem(verify._CHECKS, "spy", verify._Check(verify.symmetric_group, Spy))
-        names = ("thm-1.1", "thm-1.3", "lemma-3.1", "lemma-3.4", "lemma-3.5", "spy")
+        def spied(chunk, *names):
+            """The checks `names` between a first and a last spy, over `chunk`."""
+            monkeypatch.setitem(verify._CHECKS, "first", verify._Check(chunk, FirstSpy))
+            monkeypatch.setitem(verify._CHECKS, "last", verify._Check(chunk, Spy))
+            held.clear()
+            first.clear()
+            return ("first", *names, "last")
+
+        def shared_fresh_rows(domain):
+            """Both spies saw the words of `domain` in order, each with one row."""
+            assert list(held) == list(first) == list(domain)
+            assert len(held) > verify._BLOCK_WORDS  # so that the chunk spans blocks
+            assert all(first[w] is row for w, row in held.items())
+            assert len(set(map(id, held.values()))) == len(held)  # a fresh row per word
+
+        sn = ("thm-1.1", "thm-1.3", "lemma-3.1", "lemma-3.4", "lemma-3.5")
+        names = spied(verify.symmetric_group, *sn)
         assert verify._fused(verify._Task(names, (6, 3), 0)) == [None] * len(names)
-        assert list(held) == list(verify.symmetric_group(6, 3))
-        assert len({id(row) for row in held.values()}) == len(held)  # a fresh row per word
+        shared_fresh_rows(verify.symmetric_group(6, 3))
         found = [maps_of(w, row, ("phi", "burstein_p")) for w, row in held.items()]
         assert max(map(len, found)) == 2
-        held.clear()
-        names = ("thm-1.2", "eq-2", "spy")
+        names = spied(verify.word_cube, "thm-1.2", "eq-2")
         assert verify._fused(verify._Task(names, (3, 5, 2), 0)) == [None] * len(names)
-        assert list(held) == list(verify.word_cube(3, 5, 2))
-        assert len({id(row) for row in held.values()}) == len(held)
+        shared_fresh_rows(verify.word_cube(3, 5, 2))
         assert not any(maps_of(w, row, ()) for w, row in held.items())
         assert min(map(len, held.values())) > 0
 
@@ -1164,6 +1196,80 @@ class TestFusedPass:
         for jobs in (1, 2):
             fused = verify.run_all(replace(bounds, jobs=jobs))
             assert [r.lines() for r in fused] == alone, jobs
+
+    @pytest.mark.parametrize("fault", DEEP)
+    def test_reports_equal_each_check_run_alone_across_blocks(self, monkeypatch, fault):
+        """At n=7 over [3] a chunk spans several blocks, and each fault of
+        `DEEP` fails its checks past the first block of their chunks."""
+        bounds = verify.CheckBounds(n=7, alphabet=3)
+        DEEP[fault](monkeypatch)
+        alone = [verify.check(name, bounds, sweep=True) for name in verify.CHECK_IDS]
+        failed = [r for r in alone if not r.passed]
+        assert failed
+        for report in failed:
+            shown = report.counterexample.input
+            if report.name == "thm-1.2":  # a cube's distribution, judged once it is read
+                assert shown == "[3]^7"
+                continue
+            _, _, chunks = verify._build(report.name, bounds, sweep=True)
+            chunk = verify._CHECKS[report.name].chunk
+            [index] = [
+                i
+                for _, args in chunks
+                for i, w in enumerate(chunk(*args))
+                if words.format_word(w) == shown
+            ]
+            assert index >= verify._BLOCK_WORDS, (report.name, shown, index)
+        for jobs in (1, 2):
+            fused = verify.run_all(replace(bounds, jobs=jobs))
+            assert [r.lines() for r in fused] == [r.lines() for r in alone], jobs
+
+    def test_a_judge_that_fails_reads_no_further(self, monkeypatch):
+        """Spy judges over the S_6 slice with first letter 3, 120 words, more
+        than two blocks.  A judge that fails mid-block reads no more words,
+        while the judges before and after it read the rest of the chunk, each
+        in chunk order and with the rows the others see; the pass draws no
+        block after the one in which the last judge fails."""
+        block, seen, drawn = verify._BLOCK_WORDS, {}, []
+
+        def counted(*args):
+            for w in verify.symmetric_group(*args):
+                drawn.append(w)
+                yield w
+
+        def spy(name, fail_at):
+            class Spy(verify._Judge):
+                def __init__(self, args):
+                    seen[name] = []
+
+                def step(self, w, row):
+                    seen[name].append((w, row))
+                    if len(seen[name]) - 1 == fail_at:
+                        return verify.Counterexample(words.format_word(w), name, "planted")
+                    return None
+
+            monkeypatch.setitem(verify._CHECKS, name, verify._Check(counted, Spy))
+            return name
+
+        chunk = list(verify.symmetric_group(6, 3))
+        assert len(chunk) > 2 * block
+        mid = block + block // 2
+        names = (spy("before", None), spy("failing", mid), spy("after", None))
+        found = verify._fused(verify._Task(names, (6, 3), 0))
+        assert [f and f.input for f in found] == [None, words.format_word(chunk[mid]), None]
+        assert [w for w, _ in seen["before"]] == [w for w, _ in seen["after"]] == chunk
+        assert [w for w, _ in seen["failing"]] == chunk[: mid + 1]
+        rows = [row for _, row in seen["before"]]
+        assert len(set(map(id, rows))) == len(chunk)  # a fresh row per word
+        for name in ("failing", "after"):  # the rows "before" saw
+            assert all(row is rows[i] for i, (_, row) in enumerate(seen[name]))
+        assert drawn == chunk
+        drawn.clear()
+        at = (1, block + 1, 2 * block - 1)
+        names = tuple(spy(name, i) for name, i in zip(("first", "second", "last"), at))
+        found = verify._fused(verify._Task(names, (6, 3), 0))
+        assert [f.input for f in found] == [words.format_word(chunk[i]) for i in at]
+        assert drawn == chunk[: 2 * block]
 
     def test_a_pool_takes_the_largest_tasks_first(self, monkeypatch):
         handed = []
